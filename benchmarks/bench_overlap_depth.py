@@ -1,18 +1,16 @@
-"""Measured-clock depth x threads sweep of the threaded executor.
+"""Measured-clock depth sweep of the threaded executor.
 
 ``bench_pipeline.py`` compares the schedulers on the *modeled* clock; this
 bench measures the real thing: the pipeline runs under ``clock="measured"``
 with the :class:`~repro.core.engine.executor.ThreadedScheduler` actually
-executing ``discover(b+1..b+k)`` on a worker pool concurrent with
-``align(b)``, over a sweep of speculative depth x worker threads.  The
+executing ``discover(b+1..b+k)`` on its worker thread concurrent with
+``align(b)``, over a sweep of speculative depth.  The
 workload uses substitute k-mer seeding, which makes candidate discovery
 (the background lane) a substantial share of the phase — the regime where
 pre-blocking has something to hide.
 
-The discover lane is sequential by design (block-order turnstile), so the
-depth axis is what moves wall time; the threads axis is swept to exercise
-the executor's thread-count invariance (results and lane throughput must
-not change with pool size), not to scale the lane.
+The discover lane is one worker thread running its jobs in block order,
+so depth is the only axis that moves wall time.
 
 Two speedups are reported per configuration, deliberately distinct:
 
@@ -55,7 +53,6 @@ WORKLOAD = dict(
     seed=97,
 )
 DEPTHS = (1, 2, 4)
-THREADS = (1, 2, 4)
 
 
 def _params(**overrides) -> PastisParams:
@@ -88,47 +85,36 @@ def _schedule_speedup(result) -> float:
     return summed / combined if combined > 0 else 1.0
 
 
-def run_depth_sweep(
-    depths=DEPTHS, threads=THREADS, repeats: int = 2, workload=WORKLOAD
-) -> dict:
-    """Serial baseline + depth x threads sweep under the measured clock."""
+def run_depth_sweep(depths=DEPTHS, repeats: int = 2, workload=WORKLOAD) -> dict:
+    """Serial baseline + depth sweep under the measured clock."""
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**workload))
     serial_best, serial = _run(seqs, _params(), repeats)
     serial_edges = serial.similarity_graph.edges
 
     rows = []
     for depth in depths:
-        for nthreads in threads:
-            best, result = _run(
-                seqs,
-                _params(
-                    pre_blocking=True,
-                    preblock_depth=depth,
-                    preblock_workers=nthreads,
-                    scheduler="threaded",
-                ),
-                repeats,
-            )
-            assert result.scheduler == "threaded"
-            assert np.array_equal(result.similarity_graph.edges, serial_edges), (
-                f"depth={depth} threads={nthreads}: results diverged from serial"
-            )
-            rows.append(
-                {
-                    "depth": depth,
-                    "threads": nthreads,
-                    "phase_seconds": best,
-                    "wall_speedup": serial_best / best,
-                    "schedule_speedup": _schedule_speedup(result),
-                    "peak_live_blocks": result.stats.extras["peak_live_blocks"],
-                    "measured_discover_seconds": result.stats.extras[
-                        "measured_discover_seconds"
-                    ],
-                    "measured_align_seconds": result.stats.extras[
-                        "measured_align_seconds"
-                    ],
-                }
-            )
+        best, result = _run(
+            seqs,
+            _params(pre_blocking=True, preblock_depth=depth, scheduler="threaded"),
+            repeats,
+        )
+        assert result.scheduler == "threaded"
+        assert np.array_equal(result.similarity_graph.edges, serial_edges), (
+            f"depth={depth}: results diverged from serial"
+        )
+        rows.append(
+            {
+                "depth": depth,
+                "phase_seconds": best,
+                "wall_speedup": serial_best / best,
+                "schedule_speedup": _schedule_speedup(result),
+                "peak_live_blocks": result.stats.extras["peak_live_blocks"],
+                "measured_discover_seconds": result.stats.extras[
+                    "measured_discover_seconds"
+                ],
+                "measured_align_seconds": result.stats.extras["measured_align_seconds"],
+            }
+        )
     best_row = max(rows, key=lambda r: r["wall_speedup"])
     return {
         "workload": dict(workload),
@@ -146,7 +132,7 @@ def run_depth_sweep(
         },
         "rows": rows,
         "best_wall_speedup": best_row["wall_speedup"],
-        "best_config": {"depth": best_row["depth"], "threads": best_row["threads"]},
+        "best_config": {"depth": best_row["depth"]},
     }
 
 
@@ -158,21 +144,18 @@ def _print_report(out: dict) -> None:
         f"align {serial['measured_align_seconds']:.2f}s, "
         f"{out['usable_cpus']} usable CPUs)"
     )
-    header = (
-        f"{'depth':>5} {'threads':>7} {'phase s':>8} {'wall x':>7} "
-        f"{'sched x':>8} {'live blk':>8}"
-    )
+    header = f"{'depth':>5} {'phase s':>8} {'wall x':>7} {'sched x':>8} {'live blk':>8}"
     print(header)
     print("-" * len(header))
     for row in out["rows"]:
         print(
-            f"{row['depth']:>5} {row['threads']:>7} {row['phase_seconds']:>8.2f} "
+            f"{row['depth']:>5} {row['phase_seconds']:>8.2f} "
             f"{row['wall_speedup']:>7.2f} {row['schedule_speedup']:>8.2f} "
             f"{row['peak_live_blocks']:>8.0f}"
         )
     print(
         f"best wall speedup x{out['best_wall_speedup']:.2f} at "
-        f"depth={out['best_config']['depth']} threads={out['best_config']['threads']}"
+        f"depth={out['best_config']['depth']}"
     )
 
 
@@ -182,19 +165,18 @@ def _assert_invariants(out: dict) -> None:
             f"depth={row['depth']}: accumulator admitted more than depth+1 blocks"
         )
         assert row["schedule_speedup"] > 1.0, (
-            f"depth={row['depth']} threads={row['threads']}: "
-            "the executed schedule hid nothing"
+            f"depth={row['depth']}: the executed schedule hid nothing"
         )
 
 
 def test_overlap_depth_benchmark(benchmark):
-    """Depth x threads sweep (pytest-benchmark wrapper around one config)."""
+    """Depth sweep (pytest-benchmark wrapper around one config)."""
     out = run_depth_sweep(repeats=2)
     save_results("BENCH_overlap_depth", out)
     _print_report(out)
     _assert_invariants(out)
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**WORKLOAD))
-    params = _params(pre_blocking=True, preblock_depth=2, preblock_workers=2)
+    params = _params(pre_blocking=True, preblock_depth=2)
     benchmark(lambda: PastisPipeline(params).run(seqs))
     benchmark.extra_info["best_wall_speedup"] = out["best_wall_speedup"]
 
@@ -212,20 +194,15 @@ def _remeasure_best(out: dict, repeats: int = 3) -> float:
     best = out["best_config"]
     threaded_best, _ = _run(
         seqs,
-        _params(
-            pre_blocking=True,
-            preblock_depth=best["depth"],
-            preblock_workers=best["threads"],
-            scheduler="threaded",
-        ),
+        _params(pre_blocking=True, preblock_depth=best["depth"], scheduler="threaded"),
         repeats,
     )
     return serial_best / threaded_best
 
 
 def _smoke() -> None:
-    """Standalone sweep (reduced grid) — used by CI."""
-    out = run_depth_sweep(threads=(2,), repeats=2)
+    """Standalone sweep — used by CI."""
+    out = run_depth_sweep(repeats=2)
     _print_report(out)
     save_results("BENCH_overlap_depth", out)
     _assert_invariants(out)

@@ -1,4 +1,4 @@
-"""Measured-clock scheduler x workers x kernel sweep of the process executor.
+"""Measured-clock scheduler x kernel sweep of the process executor.
 
 ``bench_overlap_depth.py`` sweeps the *threaded* executor's depth axis; this
 bench pits the two real executors against each other on the axis that
@@ -9,12 +9,12 @@ in worker processes with shared-memory block transport, so the overlap
 survives pure-Python stage orchestration at the cost of fork + shm-mapping
 overhead per block.
 
-The sweep crosses scheduler {threaded, process} x discover workers x local
-SpGEMM kernel ({gustavson} plus ``gustavson-numba`` when the optional numba
-extra is installed — ``pip install .[fast]``), all at speculative depth 2
-under ``clock="measured"``.  Every configuration is asserted bit-identical
-to the serial baseline — scheduler, worker count and kernel may move wall
-time, never results.
+The sweep crosses scheduler {threaded, process} x local SpGEMM kernel
+({gustavson} plus ``gustavson-numba`` when the optional numba extra is
+installed — ``pip install .[fast]``), all at speculative depth 2 under
+``clock="measured"`` (one discover thread; ``depth`` worker processes).
+Every configuration is asserted bit-identical to the serial baseline —
+scheduler and kernel may move wall time, never results.
 
 Reported per row (same semantics as bench_overlap_depth):
 
@@ -55,7 +55,6 @@ WORKLOAD = dict(
     seed=97,
 )
 SCHEDULERS = ("threaded", "process")
-WORKERS = (1, 2)
 DEPTH = 2
 
 
@@ -99,12 +98,11 @@ def _schedule_speedup(result) -> float:
 
 def run_pool_sweep(
     schedulers=SCHEDULERS,
-    workers=WORKERS,
     kernels: tuple[str, ...] | None = None,
     repeats: int = 2,
     workload=WORKLOAD,
 ) -> dict:
-    """Serial baseline per kernel + scheduler x workers x kernel sweep."""
+    """Serial baseline per kernel + scheduler x kernel sweep."""
     if kernels is None:
         kernels = _kernels()
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**workload))
@@ -132,40 +130,32 @@ def run_pool_sweep(
     rows = []
     for kernel in kernels:
         for scheduler in schedulers:
-            for nworkers in workers:
-                best, result = _run(
-                    seqs,
-                    _params(
-                        spgemm_backend=kernel,
-                        pre_blocking=True,
-                        preblock_depth=DEPTH,
-                        preblock_workers=nworkers,
-                        scheduler=scheduler,
-                    ),
-                    repeats,
-                )
-                assert result.scheduler == scheduler
-                assert np.array_equal(
-                    result.similarity_graph.edges, reference_edges
-                ), (
-                    f"scheduler={scheduler} workers={nworkers} kernel={kernel}: "
-                    "results diverged from serial"
-                )
-                row = {
-                    "scheduler": scheduler,
-                    "workers": nworkers,
-                    "kernel": kernel,
-                    "phase_seconds": best,
-                    "wall_speedup": serials[kernel]["phase_seconds"] / best,
-                    "schedule_speedup": _schedule_speedup(result),
-                    "peak_live_blocks": result.stats.extras["peak_live_blocks"],
-                }
-                if scheduler == "process":
-                    row["shm_peak_block_bytes"] = result.stats.extras[
-                        "shm_peak_block_bytes"
-                    ]
-                    row["shm_total_bytes"] = result.stats.extras["shm_total_bytes"]
-                rows.append(row)
+            best, result = _run(
+                seqs,
+                _params(
+                    spgemm_backend=kernel,
+                    pre_blocking=True,
+                    preblock_depth=DEPTH,
+                    scheduler=scheduler,
+                ),
+                repeats,
+            )
+            assert result.scheduler == scheduler
+            assert np.array_equal(result.similarity_graph.edges, reference_edges), (
+                f"scheduler={scheduler} kernel={kernel}: results diverged from serial"
+            )
+            row = {
+                "scheduler": scheduler,
+                "kernel": kernel,
+                "phase_seconds": best,
+                "wall_speedup": serials[kernel]["phase_seconds"] / best,
+                "schedule_speedup": _schedule_speedup(result),
+                "peak_live_blocks": result.stats.extras["peak_live_blocks"],
+            }
+            if scheduler == "process":
+                row["shm_peak_block_bytes"] = result.stats.extras["shm_peak_block_bytes"]
+                row["shm_total_bytes"] = result.stats.extras["shm_total_bytes"]
+            rows.append(row)
 
     best_row = max(rows, key=lambda r: r["wall_speedup"])
     return {
@@ -180,11 +170,7 @@ def run_pool_sweep(
         "serial": serials,
         "rows": rows,
         "best_wall_speedup": best_row["wall_speedup"],
-        "best_config": {
-            "scheduler": best_row["scheduler"],
-            "workers": best_row["workers"],
-            "kernel": best_row["kernel"],
-        },
+        "best_config": {"scheduler": best_row["scheduler"], "kernel": best_row["kernel"]},
     }
 
 
@@ -197,7 +183,7 @@ def _print_report(out: dict) -> None:
         )
     print(f"{out['usable_cpus']} usable CPUs, depth={out['depth']}")
     header = (
-        f"{'scheduler':>9} {'workers':>7} {'kernel':>15} {'phase s':>8} "
+        f"{'scheduler':>9} {'kernel':>15} {'phase s':>8} "
         f"{'wall x':>7} {'sched x':>8} {'shm peak':>10}"
     )
     print(header)
@@ -205,7 +191,7 @@ def _print_report(out: dict) -> None:
     for row in out["rows"]:
         shm = row.get("shm_peak_block_bytes")
         print(
-            f"{row['scheduler']:>9} {row['workers']:>7} {row['kernel']:>15} "
+            f"{row['scheduler']:>9} {row['kernel']:>15} "
             f"{row['phase_seconds']:>8.2f} {row['wall_speedup']:>7.2f} "
             f"{row['schedule_speedup']:>8.2f} "
             f"{'-' if shm is None else f'{shm:.0f}':>10}"
@@ -213,14 +199,13 @@ def _print_report(out: dict) -> None:
     best = out["best_config"]
     print(
         f"best wall speedup x{out['best_wall_speedup']:.2f} at "
-        f"scheduler={best['scheduler']} workers={best['workers']} "
-        f"kernel={best['kernel']}"
+        f"scheduler={best['scheduler']} kernel={best['kernel']}"
     )
 
 
 def _assert_invariants(out: dict) -> None:
     for row in out["rows"]:
-        label = f"{row['scheduler']} workers={row['workers']} kernel={row['kernel']}"
+        label = f"{row['scheduler']} kernel={row['kernel']}"
         assert row["peak_live_blocks"] <= out["depth"] + 1, (
             f"{label}: accumulator admitted more than depth+1 blocks"
         )
@@ -250,7 +235,6 @@ def _remeasure_best(out: dict, repeats: int = 3) -> float:
             spgemm_backend=best["kernel"],
             pre_blocking=True,
             preblock_depth=DEPTH,
-            preblock_workers=best["workers"],
             scheduler="process",
         ),
         repeats,
@@ -259,23 +243,20 @@ def _remeasure_best(out: dict, repeats: int = 3) -> float:
 
 
 def test_process_pool_benchmark(benchmark):
-    """Scheduler x workers x kernel sweep (pytest-benchmark wrapper)."""
+    """Scheduler x kernel sweep (pytest-benchmark wrapper)."""
     out = run_pool_sweep(repeats=2)
     save_results("BENCH_process_pool", out)
     _print_report(out)
     _assert_invariants(out)
     seqs = synthetic_dataset(config=SyntheticDatasetConfig(**WORKLOAD))
-    params = _params(
-        pre_blocking=True, preblock_depth=DEPTH, preblock_workers=2,
-        scheduler="process",
-    )
+    params = _params(pre_blocking=True, preblock_depth=DEPTH, scheduler="process")
     benchmark(lambda: PastisPipeline(params).run(seqs))
     benchmark.extra_info["best_wall_speedup"] = out["best_wall_speedup"]
 
 
 def _smoke() -> None:
-    """Standalone sweep (reduced grid) — used by CI."""
-    out = run_pool_sweep(workers=(2,), repeats=2)
+    """Standalone sweep — used by CI."""
+    out = run_pool_sweep(repeats=2)
     _print_report(out)
     save_results("BENCH_process_pool", out)
     _assert_invariants(out)

@@ -65,7 +65,6 @@ def main() -> None:
             pre_blocking=True,
             scheduler="process",
             preblock_depth=3,
-            preblock_workers=2,
             cache_dir=cache_dir,
             run_registry=str(registry_dir),
         )

@@ -59,7 +59,6 @@ def main() -> None:
             pre_blocking=True,
             scheduler="process",
             preblock_depth=3,
-            preblock_workers=2,
             cache_dir=cache_dir,
         )
         print("cold run (populates the stage cache, untraced)...")

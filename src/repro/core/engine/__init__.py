@@ -18,40 +18,43 @@ stages, executed by pluggable schedulers:
   which the Table-I :class:`~repro.core.preblocking.PreblockingReport` is
   *derived* (it is no longer computed post hoc by
   ``PreblockingModel.evaluate`` inside the pipeline);
-* :mod:`repro.core.engine.schedulers` — the scheduler contract and the two
-  single-threaded implementations: :class:`SerialScheduler`
-  (bulk-synchronous, bit-identical to the historical monolithic loop) and
-  :class:`OverlappedScheduler` (§VI-C pre-blocking *simulated*:
-  ``discover(b+1)`` is interleaved with ``align(b)`` on the modeled clock,
-  with the paper's contention slowdowns charged as the schedule is
-  executed);
+* :mod:`repro.core.engine.schedulers` — the scheduler contract and the
+  one per-block loop every scheduler runs,
+  :func:`~repro.core.engine.schedulers.run_blocks`: for each block it
+  submits discovers up to ``depth`` blocks ahead, waits for the block's
+  discover, charges sparse, runs prune → align → charge align →
+  accumulate, and samples the trace counters; a ``depth >= 1`` schedule
+  then closes its per-rank clock with one replay through the shared
+  depth-``k`` overlap algebra (:class:`repro.mpi.costmodel.OverlapWindow`),
+  so ``align + spgemm − overlap_hidden == combined clock`` holds for
+  modeled and measured seconds alike.  A scheduler supplies only the
+  *lane* that carries the discovers, a depth and contention multipliers.
+  The module holds the two inline lanes: :class:`SerialScheduler` (depth
+  0, bit-identical to the historical monolithic loop) and
+  :class:`OverlappedScheduler` (§VI-C pre-blocking *simulated*: depth 1,
+  ``discover(b+1)`` before ``align(b)`` on the modeled clock, with the
+  paper's contention slowdowns on charged and scheduled seconds);
 * :mod:`repro.core.engine.executor` — :class:`ThreadedScheduler`, the
   *measured-clock executor* of §VI-C: where the paper overlaps the next
-  block's CPU-side SpGEMM with the current block's GPU alignment, the
-  executor runs ``discover(b+1..b+k)`` on a bounded worker pool genuinely
-  concurrent with the main thread's ``align(b)``, generalizing pre-blocking
-  to speculative depth ``k`` (``PastisParams.preblock_depth``).  Discovers
-  execute in block order through a determinism turnstile, so records, edges
-  and ledger categories stay bit-identical to :class:`SerialScheduler` for
-  every depth and thread count; memory is bounded to ``k + 1`` live blocks
-  by the accumulator's admission gate; and the per-rank clock is derived
-  through the shared depth-``k`` overlap algebra
-  (:class:`repro.mpi.costmodel.OverlapWindow`), so
-  ``align + spgemm − overlap_hidden == combined clock`` holds for measured
-  wall seconds exactly as it does for modeled ones.
+  block's CPU-side SpGEMM with the current block's GPU alignment, its lane
+  runs ``discover(b+1..b+k)`` on one worker thread genuinely concurrent
+  with the main thread's ``align(b)``, generalizing pre-blocking to
+  speculative depth ``k`` (``PastisParams.preblock_depth``).  One thread
+  runs its jobs FIFO in submission order, so discovers and their
+  admissions happen in block order and records, edges and ledger
+  categories stay bit-identical to :class:`SerialScheduler` for every
+  depth; memory is bounded to ``k + 1`` live blocks by the accumulator's
+  admission gate.
 
 * :mod:`repro.core.engine.process_executor` — :class:`ProcessScheduler`,
-  the *GIL-free* variant of the threaded executor: discover lanes run in
-  worker **processes** (``fork``) that execute the SpGEMM stage against a
-  forked copy of the run state and ship the block's CSR/COO arrays back
-  zero-copy through ``multiprocessing.shared_memory`` segments, with a
-  small picklable header carrying stats and an ordered journal of ledger
-  events.  The parent replays every side effect strictly in block order
-  (the role the threaded turnstile plays), so records, edges, stats and
-  every deterministic ledger category stay bit-identical to
-  :class:`SerialScheduler` across depth and worker count, and the clock
-  closes through the same :class:`~repro.mpi.costmodel.OverlapWindow`
-  algebra.
+  the *GIL-free* variant of the threaded executor: its lane runs discovers
+  in ``depth`` worker **processes** (``fork``) that execute the SpGEMM
+  stage against a forked copy of the run state and ship the block's
+  CSR/COO arrays back zero-copy through ``multiprocessing.shared_memory``
+  segments, with a small picklable header carrying stats and an ordered
+  journal of ledger events.  The parent replays every side effect strictly
+  in block order, so records, edges, stats and every deterministic ledger
+  category stay bit-identical to :class:`SerialScheduler` for every depth.
 
 * :mod:`repro.core.engine.cache` — the content-hashed :class:`StageCache`,
   the engine's analogue of the synpp/pisa declare-then-decide pipeline
@@ -64,11 +67,11 @@ stages, executed by pluggable schedulers:
   *and* the absolute post-block ledger state of the discover lane, which
   replay restores while the schedulers recharge their own categories
   through the ordinary code paths; entries are therefore shareable across
-  all three schedulers, and ``PastisPipeline.run(resume=True)`` continues a
+  all four schedulers, and ``PastisPipeline.run(resume=True)`` continues a
   killed run from its last completed block.
 
-Schedulers — not the pipeline — own execution order and ledger charging;
-the pipeline builds the task list and hands it over.
+The schedulers' block loop — not the pipeline — owns execution order and
+ledger charging; the pipeline builds the task list and hands it over.
 
 **Choosing a scheduler** (``PastisParams.scheduler``, or derived from
 ``pre_blocking``/``clock``/``preblock_depth`` when ``None``):
@@ -78,8 +81,9 @@ the pipeline builds the task list and hands it over.
 * ``"overlapped"`` — §VI-C pre-blocking *simulated* on the modeled clock
   with the paper's contention multipliers.  Choose it for paper-faithful
   Table-I numbers; no real concurrency happens.
-* ``"threaded"`` — the schedule actually executed on a thread pool.
-  Choose it for measured-clock runs or depth > 1.  Real overlap is limited
+* ``"threaded"`` — the schedule actually executed, discovers on one
+  worker thread.  Choose it for measured-clock runs or depth > 1.  Real
+  overlap is limited
   by the GIL: it helps exactly when the discover lane spends its time in
   NumPy kernels that release the GIL, and collapses when the lane is
   dominated by pure-Python stage orchestration.
@@ -101,13 +105,12 @@ the mechanisms above —
 
 * ``stage`` spans (``discover``/``prune``/``align``/``accumulate``) — the
   four :class:`BlockTask` stages, wherever they execute (main thread,
-  pool thread, or worker process);
+  the threaded lane's worker thread, or a worker process);
 * ``cache`` spans (``cache_load``/``cache_replay``) — the
   :class:`StageCache` consult and the bit-identical replay of a hit;
-* ``wait`` spans — the concurrency gates: ``admission_wait`` is time
-  blocked in the accumulator's ``admit_block`` admission gate (the
-  ``k + 1`` live-block memory bound), ``turnstile_wait`` is a threaded
-  worker waiting its turn in the ``_Turnstile`` determinism gate;
+* ``wait`` spans — ``admission_wait`` is time blocked in the
+  accumulator's ``admit_block`` admission gate (the ``k + 1`` live-block
+  memory bound), on the threaded worker or the process executor's parent;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
 * ``transport``/``replay`` spans (``shm_ship``/``ledger_replay``) — the

@@ -14,13 +14,14 @@ depth-``k`` pre-blocking) instead of the cumulative
 ``retained_block_bytes`` a keep-everything run would have paid.
 
 The accumulator is also the engine's **memory governor**: with
-``max_live_blocks`` set (the threaded executor sets it to ``depth + 1``),
-:meth:`admit_block` blocks the calling worker until a slot frees, so a deep
-speculative schedule can never hold more than ``k + 1`` blocks no matter
-how far the discover lane runs ahead of alignment.  Admission, consumption
-and release are thread-safe — the threaded scheduler's workers admit and
-register blocks while the main thread consumes edges and discards them —
-and the measured peak is reported via :attr:`peak_live_blocks`.
+``max_live_blocks`` set (the schedulers' block loop sets it to
+``depth + 1``), :meth:`admit_block` blocks the calling worker until a slot
+frees, so a deep speculative schedule can never hold more than ``k + 1``
+blocks no matter how far the discover lane runs ahead of alignment.
+Admission, consumption and release are thread-safe — the threaded
+scheduler's worker admits and registers blocks while the main thread
+consumes edges and discards them — and the measured peak is reported via
+:attr:`peak_live_blocks`.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ class StreamingGraphAccumulator:
     max_live_blocks:
         Admission bound: at most this many blocks may be live (admitted and
         not yet discarded) at once; :meth:`admit_block` blocks until a slot
-        frees.  ``None`` (the default) disables admission control — the
-        serial and modeled overlapped schedulers regulate liveness through
-        their schedule shape instead.
+        frees.  ``None`` (the default) disables admission control; the
+        schedulers' block loop sets ``depth + 1`` when it is unset.
     memory:
         Tracker recording current/peak bytes of the ``live_blocks`` and
         ``edge_buffer`` components.
@@ -90,8 +90,9 @@ class StreamingGraphAccumulator:
         subsequent :meth:`block_computed` consumes the reservation instead
         of admitting again.  Note: wakeup order among *concurrent* waiters
         is not FIFO (plain condition-variable semantics); oldest-block-first
-        admission holds because callers serialize their admissions — the
-        executor's block-order turnstile admits one block at a time.
+        admission holds because every lane admits from one thread in block
+        order (the threaded executor's single worker, the process
+        executor's parent).
         """
         with self._cond:
             self._admit_locked()
@@ -140,9 +141,10 @@ class StreamingGraphAccumulator:
             if self._pending_admissions:
                 self._pending_admissions -= 1
             else:
-                # caller did not pre-admit (serial / modeled overlapped
-                # schedulers): admit on registration, without blocking — the
-                # registering thread may be the only one able to evict
+                # caller did not pre-admit (the inline lanes of the serial
+                # and overlapped schedulers): admit on registration, without
+                # blocking — the registering thread may be the only one able
+                # to evict
                 self._admit_locked(blocking=False)
             self.memory.allocate(LIVE_BLOCKS, int(nbytes))
             self.retained_block_bytes += int(nbytes)

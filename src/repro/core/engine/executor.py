@@ -3,238 +3,107 @@
 :class:`~repro.core.engine.schedulers.OverlappedScheduler` *simulates* the
 paper's pre-blocking on a modeled clock.  :class:`ThreadedScheduler` is the
 executor that actually runs it: the discover stages of blocks ``b+1..b+k``
-execute on a bounded worker pool **genuinely concurrent** with the main
-thread aligning block ``b``, generalizing pre-blocking to speculative depth
+execute on one worker thread **genuinely concurrent** with the main thread
+aligning block ``b``, generalizing pre-blocking to speculative depth
 ``k >= 1`` (``PastisParams.preblock_depth``).  Under ``clock="measured"``
 the per-rank stage seconds are real wall time, so the overlap gain is a
 hardware fact rather than a model output; under ``clock="modeled"`` the
 same schedule runs (results are identical either way) and the clock algebra
 consumes modeled seconds.
 
-Three mechanisms keep concurrency from ever touching results:
+The block loop is the shared
+:func:`~repro.core.engine.schedulers.run_blocks`; this module only supplies
+its lane.  Three properties keep concurrency from ever touching results:
 
-**Ordered discover lane.**  Workers enter the SUMMA engine through a
-turnstile that admits them strictly in block order, so every mutation of
-shared state (the blocked-SUMMA stats, the communication ledger charges
-made inside ``summa``) happens in exactly the sequence the serial scheduler
-produces — records, edges and ledger categories are bit-identical to
-:class:`~repro.core.engine.schedulers.SerialScheduler` for every depth and
-thread count.  Concurrency lives *between* the lanes (discover vs. align),
-never inside the bookkeeping.
+**One ordered worker.**  The lane is a single worker thread, which runs its
+jobs FIFO in submission order, and the loop submits in block order.  So
+every discover — its accumulator admission, its SUMMA stats merge and the
+communication ledger charges made inside ``summa`` — happens in exactly the
+sequence the serial scheduler produces, and records, edges and ledger
+categories are bit-identical to
+:class:`~repro.core.engine.schedulers.SerialScheduler` for every depth.
+Concurrency lives *between* the lanes (discover vs. align), never inside
+the bookkeeping.
 
-**Admission-bounded memory.**  Before computing, each worker reserves a
+**Admission-bounded memory.**  Before computing, the worker reserves a
 live-block slot from the
 :class:`~repro.core.engine.accumulator.StreamingGraphAccumulator`
 (``max_live_blocks = depth + 1``), so speculation can never hold more than
-``k + 1`` blocks however far the discover lane runs ahead; the measured
-peak is reported via ``peak_live_blocks``.
+``k + 1`` blocks; the measured peak is reported via ``peak_live_blocks``.
 
 **Shared overlap algebra.**  The per-rank clock is derived by replaying the
-executed schedule through :class:`repro.mpi.costmodel.OverlapWindow` — the
-depth-``k`` generalization of the ``charge_overlap_slot`` slot the modeled
-overlapped scheduler and distributed MCL use — so the ledger invariant
-``align + spgemm − overlap_hidden == combined clock`` holds per rank for
-*measured* seconds exactly as it does for modeled ones.
+executed schedule through :class:`repro.mpi.costmodel.OverlapWindow`, so
+the ledger invariant ``align + spgemm − overlap_hidden == combined clock``
+holds per rank for *measured* seconds exactly as it does for modeled ones.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
-from ...metrics.timers import Timer
-from ...mpi.costmodel import OverlapWindow
 from ...trace import maybe_span
-from .schedulers import (
-    OVERLAP_HIDDEN_CATEGORY,
-    ScheduleOutcome,
-    Scheduler,
-    _charge_sparse,
-    _run_foreground_stages,
-)
-from .stages import BlockRecord, BlockTask, StageContext
-from .timeline import StageTimeline
+from .schedulers import Lane, ScheduleOutcome, Scheduler, run_blocks
+from .stages import BlockTask, StageContext
 
 
-class _Turnstile:
-    """Admit ticket holders strictly in ticket order.
+class _ThreadLane(Lane):
+    """Discovers on one worker thread, in submission (= block) order."""
 
-    The determinism gate of the discover lane: worker ``j`` may only enter
-    the engine after worker ``j - 1`` has left it, so shared-state mutation
-    order is identical to the serial schedule no matter how many pool
-    threads exist.  The turn advances even when the holder raises, so an
-    error unwinds the lane instead of deadlocking it; :meth:`abort` wakes
-    every worker still waiting for its turn during teardown, so a failed run
-    can join the pool without stranding parked threads.
-    """
+    def __init__(self, tasks: list[BlockTask], ctx: StageContext) -> None:
+        super().__init__(tasks, ctx)
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="discover")
+        self._futures: dict[int, object] = {}
 
-    def __init__(self) -> None:
-        self._turn = 0
-        self._aborted = False
-        self._cond = threading.Condition()
+    def _discover(self, task: BlockTask) -> None:
+        ctx = self.ctx
+        with maybe_span(
+            ctx.trace,
+            "admission_wait",
+            "wait",
+            lane="discover",
+            block=(task.block_row, task.block_col),
+        ):
+            ctx.accumulator.admit_block()
+        task.discover(ctx)
 
-    @contextmanager
-    def turn(self, ticket: int, trace=None, block: tuple[int, int] | None = None):
-        """Hold ticket ``ticket``'s turn.  With ``trace`` set, the waiting
-        portion (entry to admission) is recorded as a ``turnstile_wait``
-        span on the calling worker thread."""
-        t0 = time.perf_counter() if trace is not None else 0.0
-        with self._cond:
-            while self._turn != ticket and not self._aborted:
-                self._cond.wait()
-            if self._aborted:
-                raise RuntimeError("discover turnstile aborted (run torn down)")
-        if trace is not None:
-            trace.add_span(
-                "turnstile_wait", "wait", t0, time.perf_counter(),
-                lane="discover", block=block,
-            )
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._turn += 1
-                self._cond.notify_all()
+    def submit(self, index: int) -> None:
+        self._futures[index] = self._pool.submit(self._discover, self.tasks[index])
 
-    def abort(self) -> None:
-        """Wake all waiters with an error (executor teardown)."""
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
+    def wait(self, index: int) -> None:
+        self._futures.pop(index).result()
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
 class ThreadedScheduler(Scheduler):
-    """Speculative depth-``k`` pre-blocking on a real worker pool.
+    """Speculative depth-``k`` pre-blocking on a real worker thread.
 
     Parameters
     ----------
     depth:
         Speculative discovery depth ``k``: while block ``b`` is aligned,
         the discover stages of blocks ``b+1..b+k`` are in flight.  ``1``
-        is classic §VI-C pre-blocking (one block ahead).
-    max_workers:
-        Worker threads in the discover pool (``None`` = 1).  The discover
-        lane is deliberately **sequential**: discovers execute strictly in
-        block order (the determinism turnstile), matching both the FIFO
-        background lane of the :class:`~repro.mpi.costmodel.OverlapWindow`
-        clock model and the serial schedule's shared-state mutation order
-        that the bit-identity guarantee rests on.  One worker therefore
-        carries the lane at full speed; extra workers change how the queue
-        is carried, never what is computed or how fast the lane drains —
-        the knob exists so tests can assert that thread count is
-        result-invariant.  Parallelism lives between the discover lane and
+        is classic §VI-C pre-blocking (one block ahead).  The discover lane
+        is one thread: discovers run strictly in block order, matching both
+        the FIFO background lane of the
+        :class:`~repro.mpi.costmodel.OverlapWindow` clock model and the
+        serial schedule's shared-state mutation order that the bit-identity
+        guarantee rests on.  Parallelism lives between the discover lane and
         the main thread's align lane.
     """
 
     name: str = "threaded"
     depth: int = 1
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None)")
 
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
-        depth = int(self.depth)
-        timeline = StageTimeline(scheduler=self.name, preblock_depth=depth)
-        if not tasks:
-            return ScheduleOutcome(records=[], timeline=timeline)
+        return run_blocks(self, tasks, ctx)
 
-        num_blocks = len(tasks)
-        workers = self.max_workers if self.max_workers is not None else 1
-        if ctx.accumulator.max_live_blocks is None:
-            # the executor's memory contract: current block + k speculative
-            ctx.accumulator.max_live_blocks = depth + 1
-        turnstile = _Turnstile()
-
-        def discover_job(index: int, task: BlockTask) -> None:
-            # ordered lane: admission and engine entry happen inside the
-            # turn, so slots are granted oldest-block-first and all shared
-            # state mutates in serial-schedule order
-            coords = (task.block_row, task.block_col)
-            with turnstile.turn(index, trace=ctx.trace, block=coords):
-                with maybe_span(
-                    ctx.trace, "admission_wait", "wait", lane="discover", block=coords
-                ):
-                    ctx.accumulator.admit_block()
-                task.discover(ctx)
-
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_align = 0.0
-        measured_discover = 0.0
-        align_per_block: list[np.ndarray] = []
-        phase_timer = Timer()
-        futures: dict[int, object] = {}
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="discover")
-        failed = False
-        try:
-            with phase_timer:
-
-                def ensure_submitted(upto: int) -> None:
-                    for j in range(len(futures), min(upto, num_blocks - 1) + 1):
-                        futures[j] = pool.submit(discover_job, j, tasks[j])
-
-                ensure_submitted(depth)
-                for index, task in enumerate(tasks):
-                    futures[index].result()  # discover(b) must be complete
-                    _charge_sparse(ctx, task.sparse_seconds, 1.0)
-                    measured_discover += task.discover_wall_seconds
-                    # keep k discovers in flight beyond the current block
-                    ensure_submitted(index + depth)
-
-                    # no synthetic contention multipliers: under the measured
-                    # clock contention is already in the measured seconds,
-                    # under the modeled clock the executor charges what the
-                    # model produced
-                    record, output, align_sched = _run_foreground_stages(
-                        task, ctx, timeline
-                    )
-                    kernel_seconds += output.kernel_seconds
-                    measured_align += output.measured_seconds
-                    align_per_block.append(align_sched)
-                    records.append(record)
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            if failed:
-                # a failed run must wake *every* lane a worker can be parked
-                # in before joining the pool: later-block workers may be
-                # blocked in the accumulator's admission gate (their blocks
-                # can never be drained once the main thread stops aligning)
-                # or still waiting for their discover turn — aborting only
-                # one lane would leave shutdown(wait=True) joining a thread
-                # that can never wake
-                ctx.accumulator.abort_admission()
-                turnstile.abort()
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        # ---- derive the per-rank clock by replaying the executed schedule
-        # through the shared depth-k overlap algebra (same invariant as the
-        # modeled scheduler: align + spgemm - overlap_hidden == clock)
-        clock = np.zeros(ctx.comm.size)
-        window = OverlapWindow(ctx.comm.ledger, clock, OVERLAP_HIDDEN_CATEGORY)
-        window.run_schedule(
-            align_per_block,
-            [record.sparse_seconds_per_rank for record in records],
-            depth=depth,
-        )
-
-        timeline.combined_per_rank = clock
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_align,
-            measured_discover_seconds=measured_discover,
-        )
+    def open_lane(self, tasks: list[BlockTask], ctx: StageContext) -> Lane:
+        return _ThreadLane(tasks, ctx)

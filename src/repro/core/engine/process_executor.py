@@ -3,15 +3,16 @@
 :class:`~repro.core.engine.executor.ThreadedScheduler` overlaps the discover
 lane with the foreground align lane on *threads* — genuine concurrency for
 the NumPy-heavy SpGEMM only to the extent the kernels release the GIL.
-:class:`ProcessScheduler` runs the same speculative depth-``k`` schedule with
-the discover lane in worker **processes**: the Python interpreter of the
-SUMMA stage loop no longer shares the GIL with the aligner, so the overlap
-gain survives pure-Python hot loops.  Results stay bit-identical to
+:class:`ProcessScheduler` runs the same speculative depth-``k`` schedule —
+the shared :func:`~repro.core.engine.schedulers.run_blocks` loop — with
+the discover lane in ``depth`` worker **processes**: the Python interpreter
+of the SUMMA stage loop no longer shares the GIL with the aligner, so the
+overlap gain survives pure-Python hot loops.  Results stay bit-identical to
 :class:`~repro.core.engine.schedulers.SerialScheduler` — records, edges,
-stats and every deterministic ledger category — for every depth and worker
-count (asserted in ``tests/test_engine.py``).
+stats and every deterministic ledger category — for every depth (asserted
+in ``tests/test_engine.py``).
 
-Three mechanisms replace the threaded executor's shared-state machinery:
+Three mechanisms let the workers compute out of order and in parallel:
 
 **Pure workers, parent-ordered replay.**  A worker computes its block
 against a *forked copy* of the run state and mutates nothing the parent can
@@ -21,10 +22,9 @@ they alias one object), so every ``charge``/``count`` the SUMMA stages make
 is applied locally (``summa`` reads ``per_rank`` to derive its comm delta)
 *and* recorded as an ordered event list.  The parent replays those events —
 and the engine's ``blocks_computed``/``total_stats``/``peak_block_bytes``
-mutations, the accumulator admission, and the cache snapshot — strictly in
-block order as it consumes results.  Same charges, same order, same starting
-state: float sums land bit-identically to the serial schedule, without any
-cross-process turnstile.
+mutations, the accumulator registration, and the cache snapshot — strictly
+in block order as the loop waits for each block.  Same charges, same order,
+same starting state: float sums land bit-identically to the serial schedule.
 
 **Shared-memory block transport.**  The block's per-rank COO arrays travel
 through one ``multiprocessing.shared_memory`` segment per block (name
@@ -39,7 +39,7 @@ leaks (fault-injection test in ``tests/test_engine.py``).
 **Shared admission and overlap algebra.**  The parent reserves the
 accumulator's live-block slot at submission time, in block order, so
 speculation is memory-bounded to ``depth + 1`` live blocks exactly like the
-threaded executor; the per-rank clock is closed through the same
+threaded executor; the loop closes the per-rank clock through the same
 :class:`repro.mpi.costmodel.OverlapWindow` replay, so
 ``align + spgemm − overlap_hidden == combined clock`` holds per rank.
 
@@ -61,21 +61,14 @@ import numpy as np
 
 from ...distsparse.blocked_summa import OutputBlock
 from ...distsparse.summa import SummaResult
-from ...metrics.timers import Timer, time_call
-from ...mpi.costmodel import CostLedger, OverlapWindow
+from ...metrics.timers import time_call
+from ...mpi.costmodel import CostLedger
 from ...obs import MetricsHub, activate_metrics
 from ...sparse.coo import CooMatrix
 from ...trace import TraceRecorder, activate, maybe_span
 from .cache import LANE_COUNTERS, CachedBlock, lane_time_categories
-from .schedulers import (
-    OVERLAP_HIDDEN_CATEGORY,
-    ScheduleOutcome,
-    Scheduler,
-    _charge_sparse,
-    _run_foreground_stages,
-)
-from .stages import BlockRecord, BlockTask, StageContext
-from .timeline import StageTimeline
+from .schedulers import Lane, ScheduleOutcome, Scheduler, run_blocks
+from .stages import BlockTask, StageContext
 
 
 class RecordingLedger(CostLedger):
@@ -415,10 +408,9 @@ def _worker_discover(index: int, block_row: int, block_col: int, segment_name: s
 def _admit_block(header: _BlockHeader, task: BlockTask, ctx: StageContext):
     """Replay one worker result's discover side effects, in block order.
 
-    This is the process executor's determinism gate (the role the threaded
-    executor's turnstile plays): ledger events, engine stat merges, the
-    accumulator admission and the cache snapshot all land here, on the
-    parent, strictly in block index order.  Returns the attached
+    This is the process executor's determinism gate: ledger events, engine
+    stat merges, the accumulator registration and the cache snapshot all
+    land here, on the parent, strictly in block index order.  Returns the attached
     :class:`_ShmBlock` (``None`` for cache hits and empty blocks shipped
     without a segment).
     """
@@ -483,43 +475,12 @@ def _admit_block(header: _BlockHeader, task: BlockTask, ctx: StageContext):
     return shm_block
 
 
-@dataclass
-class ProcessScheduler(Scheduler):
-    """Speculative depth-``k`` pre-blocking on a process pool (GIL-free lane).
+class _ProcessLane(Lane):
+    """Discovers in forked worker processes; side effects replayed in order."""
 
-    Parameters
-    ----------
-    depth:
-        Speculative discovery depth ``k``: while block ``b`` is aligned,
-        the discover stages of blocks ``b+1..b+k`` are in flight in worker
-        processes.  ``1`` is classic §VI-C pre-blocking.
-    max_workers:
-        Worker processes in the discover pool (``None`` = 1).  At most
-        ``depth`` discovers are submitted beyond the block being consumed,
-        so extra workers beyond ``depth`` idle; like the threaded
-        executor's knob, worker count can never change results (asserted
-        in the engine tests).
-    """
-
-    name: str = "process"
-    depth: int = 1
-    max_workers: int | None = None
-    #: per-worker lane statistics of the last run (pid -> blocks/seconds),
-    #: surfaced in ``stats.extras`` via the outcome
-    lane_stats: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1 (or None)")
-
-    def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
+    def __init__(self, tasks: list[BlockTask], ctx: StageContext, workers: int) -> None:
         global _WORKER_CTX
-        depth = int(self.depth)
-        timeline = StageTimeline(scheduler=self.name, preblock_depth=depth)
-        if not tasks:
-            return ScheduleOutcome(records=[], timeline=timeline)
+        super().__init__(tasks, ctx)
         try:
             mp_context = get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-fork platforms only
@@ -537,142 +498,113 @@ class ProcessScheduler(Scheduler):
             resource_tracker.ensure_running()
         except Exception:
             pass
-
-        num_blocks = len(tasks)
-        workers = self.max_workers if self.max_workers is not None else 1
-        if ctx.accumulator.max_live_blocks is None:
-            # the executor's memory contract: current block + k speculative
-            ctx.accumulator.max_live_blocks = depth + 1
-        # submissions reserve their live-block slot up front, so the in-flight
-        # window must fit under the admission bound (the parent is the only
-        # drainer — an over-submission would deadlock, not block briefly)
-        bound = ctx.accumulator.max_live_blocks
-        inflight = depth if bound is None else max(0, min(depth, int(bound) - 1))
-        token = f"{os.getpid():x}-{next(_TOKEN_COUNTER):x}"
-
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_align = 0.0
-        measured_discover = 0.0
-        align_per_block: list[np.ndarray] = []
-        lane_blocks: dict[int, int] = {}
-        lane_seconds: dict[int, float] = {}
-        shm_peak_block = 0
-        shm_total = 0
-        futures: dict[int, object] = {}
-        phase_timer = Timer()
-        failed = False
-        previous_ctx = _WORKER_CTX
+        self._token = f"{os.getpid():x}-{next(_TOKEN_COUNTER):x}"
+        self._futures: dict[int, object] = {}
+        self._shm_block: _ShmBlock | None = None
+        #: pid -> [blocks, discover seconds]
+        self._lanes: dict[int, list] = {}
+        self._shm_peak_block = 0
+        self._shm_total = 0
+        self._previous_ctx = _WORKER_CTX
         _WORKER_CTX = ctx
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+        self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+
+    def submit(self, index: int) -> None:
+        task = self.tasks[index]
+        # block-order slot reservation at submission: the loop keeps at most
+        # ``depth + 1`` blocks admitted, so this never blocks
+        with maybe_span(
+            self.ctx.trace,
+            "admission_wait",
+            "wait",
+            lane="submit",
+            block=(task.block_row, task.block_col),
+        ):
+            self.ctx.accumulator.admit_block()
         try:
-            with phase_timer:
+            self._futures[index] = self._pool.submit(
+                _worker_discover,
+                index,
+                task.block_row,
+                task.block_col,
+                _segment_name(self._token, index),
+            )
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"discover worker died before block {index} could be submitted "
+                "(killed or crashed); the run is torn down and its "
+                "shared-memory segments unlinked"
+            ) from exc
 
-                def ensure_submitted(upto: int) -> None:
-                    for j in range(len(futures) + len(records), min(upto, num_blocks - 1) + 1):
-                        # block-order slot reservation: the submit window is
-                        # sized so this can never block (see `inflight`)
-                        with maybe_span(
-                            ctx.trace,
-                            "admission_wait",
-                            "wait",
-                            lane="submit",
-                            block=(tasks[j].block_row, tasks[j].block_col),
-                        ):
-                            ctx.accumulator.admit_block()
-                        try:
-                            futures[j] = pool.submit(
-                                _worker_discover,
-                                j,
-                                tasks[j].block_row,
-                                tasks[j].block_col,
-                                _segment_name(token, j),
-                            )
-                        except BrokenProcessPool as exc:
-                            raise RuntimeError(
-                                f"discover worker died before block {j} could "
-                                "be submitted (killed or crashed); the run is "
-                                "torn down and its shared-memory segments "
-                                "unlinked"
-                            ) from exc
+    def wait(self, index: int) -> None:
+        try:
+            header = self._futures.pop(index).result()
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"discover worker died while block {index} was in flight "
+                "(killed or crashed); the run is torn down and its "
+                "shared-memory segments unlinked"
+            ) from exc
+        self._shm_block = _admit_block(header, self.tasks[index], self.ctx)
+        lane = self._lanes.setdefault(header.worker_pid, [0, 0.0])
+        lane[0] += 1
+        lane[1] += header.discover_wall_seconds
+        if self._shm_block is not None:
+            self._shm_peak_block = max(self._shm_peak_block, self._shm_block.nbytes)
+            self._shm_total += self._shm_block.nbytes
+        trace = self.ctx.trace
+        if trace is not None:
+            # gauges picked up by the loop's block-boundary counter sample
+            trace.set_value("shm_total_bytes", float(self._shm_total))
+            trace.set_value("shm_peak_block_bytes", float(self._shm_peak_block))
 
-                ensure_submitted(inflight)
-                for index, task in enumerate(tasks):
-                    try:
-                        header = futures.pop(index).result()
-                    except BrokenProcessPool as exc:
-                        raise RuntimeError(
-                            f"discover worker died while block {index} was in "
-                            "flight (killed or crashed); the run is torn down "
-                            "and its shared-memory segments unlinked"
-                        ) from exc
-                    shm_block = _admit_block(header, task, ctx)
-                    _charge_sparse(ctx, task.sparse_seconds, 1.0)
-                    measured_discover += task.discover_wall_seconds
-                    lane_blocks[header.worker_pid] = lane_blocks.get(header.worker_pid, 0) + 1
-                    lane_seconds[header.worker_pid] = (
-                        lane_seconds.get(header.worker_pid, 0.0)
-                        + header.discover_wall_seconds
-                    )
-                    if shm_block is not None:
-                        shm_peak_block = max(shm_peak_block, shm_block.nbytes)
-                        shm_total += shm_block.nbytes
-                    if ctx.trace is not None:
-                        # gauges picked up by the block-boundary counter sample
-                        # inside _run_foreground_stages
-                        ctx.trace.set_value("shm_total_bytes", float(shm_total))
-                        ctx.trace.set_value(
-                            "shm_peak_block_bytes", float(shm_peak_block)
-                        )
+    def done(self, index: int) -> None:
+        if self._shm_block is not None:
+            self._shm_block.release()
+            self._shm_block = None
 
-                    record, output, align_sched = _run_foreground_stages(
-                        task, ctx, timeline
-                    )
-                    kernel_seconds += output.kernel_seconds
-                    measured_align += output.measured_seconds
-                    align_per_block.append(align_sched)
-                    records.append(record)
-                    if shm_block is not None:
-                        shm_block.release()
-                    # keep `inflight` discovers in the pipe now that this
-                    # block's live slot has been released by accumulate
-                    ensure_submitted(index + 1 + inflight)
-        except BaseException:
-            failed = True
-            raise
-        finally:
-            if failed:
-                ctx.accumulator.abort_admission()
-            pool.shutdown(wait=True, cancel_futures=True)
-            _WORKER_CTX = previous_ctx
-            # the pool is joined: nothing can re-create a segment behind us
-            _sweep_segments(token, num_blocks)
+    def close(self) -> None:
+        global _WORKER_CTX
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        _WORKER_CTX = self._previous_ctx
+        # the pool is joined: nothing can re-create a segment behind us
+        _sweep_segments(self._token, len(self.tasks))
 
-        clock = np.zeros(ctx.comm.size)
-        window = OverlapWindow(ctx.comm.ledger, clock, OVERLAP_HIDDEN_CATEGORY)
-        window.run_schedule(
-            align_per_block,
-            [record.sparse_seconds_per_rank for record in records],
-            depth=depth,
-        )
-        timeline.combined_per_rank = clock
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        self.lane_stats = {
-            str(pid): {
-                "blocks": int(count),
-                "discover_seconds": float(lane_seconds[pid]),
-            }
-            for pid, count in lane_blocks.items()
-        }
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_align,
-            measured_discover_seconds=measured_discover,
-            extras={
-                "process_lanes": self.lane_stats,
-                "shm_peak_block_bytes": float(shm_peak_block),
-                "shm_total_bytes": float(shm_total),
+    def extras(self) -> dict:
+        return {
+            "process_lanes": {
+                str(pid): {"blocks": int(blocks), "discover_seconds": float(seconds)}
+                for pid, (blocks, seconds) in self._lanes.items()
             },
-        )
+            "shm_peak_block_bytes": float(self._shm_peak_block),
+            "shm_total_bytes": float(self._shm_total),
+        }
+
+
+@dataclass
+class ProcessScheduler(Scheduler):
+    """Speculative depth-``k`` pre-blocking on a process pool (GIL-free lane).
+
+    Parameters
+    ----------
+    depth:
+        Speculative discovery depth ``k``: while block ``b`` is aligned,
+        the discover stages of blocks ``b+1..b+k`` are in flight in worker
+        processes.  ``1`` is classic §VI-C pre-blocking.  The pool has
+        ``depth`` worker processes: at most ``depth`` discovers are ever in
+        flight, so more would idle.  Per-worker lane statistics are
+        reported in ``ScheduleOutcome.extras["process_lanes"]``.
+    """
+
+    name: str = "process"
+    depth: int = 1
+
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+
+    def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
+        return run_blocks(self, tasks, ctx)
+
+    def open_lane(self, tasks: list[BlockTask], ctx: StageContext) -> Lane:
+        return _ProcessLane(tasks, ctx, workers=self.depth)

@@ -1,4 +1,4 @@
-"""Schedulers: who runs which stage when, and what the ledger is charged.
+"""Schedulers: one per-block loop, four lanes that carry the discovers.
 
 The scheduler contract is deliberately small::
 
@@ -9,42 +9,51 @@ the per-task stage order (discover → prune → align → accumulate), stream
 results through ``ctx.accumulator``, charge the per-rank cost ledger for the
 sparse and alignment work it schedules, and return a
 :class:`ScheduleOutcome` with the per-block records and the executed
-:class:`~repro.core.engine.timeline.StageTimeline`.  Everything else — task
-ordering across blocks, interleaving, contention charging — is scheduler
-policy.
+:class:`~repro.core.engine.timeline.StageTimeline`.
 
-:class:`SerialScheduler` reproduces the historical monolithic pipeline loop
-bit-for-bit: stages run strictly in block order and raw component times are
-charged.
+Every scheduler runs the same loop, :func:`run_blocks`.  For each block
+``index`` it submits discovers up to ``index + depth``, waits for block
+``index``'s discover, charges its sparse seconds, runs prune → align →
+charge align → accumulate, and samples the trace counters; a schedule with
+``depth >= 1`` then closes its per-rank clock with one
+:meth:`~repro.mpi.costmodel.OverlapWindow.run_schedule` replay.  What
+differs between schedulers is only the :class:`Lane` that carries the
+discovers, the depth, and the contention multipliers:
+
+:class:`SerialScheduler` discovers inline at depth 0 — bulk-synchronous,
+bit-for-bit the historical monolithic pipeline loop, raw times, no clock.
 
 :class:`OverlappedScheduler` implements §VI-C pre-blocking on the simulated
-clock: ``discover(b+1)`` is issued while block ``b`` is aligned, both
-components are charged with the paper's measured contention slowdowns
-(~1.13x for alignment; ``1.10 + 0.006 · num_blocks`` for the sparse
-multiply, growing with the block count), and the per-rank clock advances by
-``max(align(b), discover(b+1))`` per step — the schedule *is* the
-computation, not post-hoc arithmetic.  The time hidden by the overlap
-(``min(align(b), discover(b+1))`` per step) is charged to the informational
-``overlap_hidden`` ledger category, so per-rank clock and ledger stay
-reconcilable: ``align + spgemm − overlap_hidden == combined clock``.
+clock: inline at depth 1, so ``discover(b+1)`` is issued before block ``b``
+is aligned, and both components are charged with the paper's measured
+contention slowdowns (~1.13x for alignment; ``1.10 + 0.006 · num_blocks``
+for the sparse multiply, growing with the block count).  The clock replay
+advances each rank by ``max(align(b), discover(b+1))`` per step and charges
+the hidden ``min`` to the informational ``overlap_hidden`` ledger category,
+so per-rank clock and ledger stay reconcilable:
+``align + spgemm − overlap_hidden == combined clock``.
+
+The threaded and process lanes live in :mod:`~repro.core.engine.executor`
+and :mod:`~repro.core.engine.process_executor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ...metrics.timers import Timer
-from ...mpi.costmodel import charge_overlap_slot
+from ...mpi.costmodel import OverlapWindow
 from ..align_phase import BlockAlignmentOutput
 from ..preblocking import PreblockingModel
 from .stages import BlockRecord, BlockTask, StageContext
 from .timeline import BlockTiming, StageTimeline
 
 #: Ledger category holding the per-rank seconds hidden by pre-blocking
-#: overlap (charged by :class:`OverlappedScheduler` only; excluded from
-#: reported totals).
+#: overlap (charged by the clock replay of every ``depth >= 1`` schedule;
+#: excluded from reported totals).
 OVERLAP_HIDDEN_CATEGORY = "overlap_hidden"
 
 
@@ -77,6 +86,37 @@ class ScheduleOutcome:
         return sum(int(rec.cells_per_rank.sum()) for rec in self.records)
 
 
+class Lane:
+    """How one run's discovers are carried; this base runs them inline.
+
+    :func:`run_blocks` calls :meth:`submit` for every block in block order,
+    at most ``depth`` blocks ahead of the one it waits for, then
+    :meth:`wait` and :meth:`done` once per block in block order, and
+    :meth:`close` once at the end of the run, whether it succeeded or not.
+    """
+
+    def __init__(self, tasks: list[BlockTask], ctx: StageContext) -> None:
+        self.tasks = tasks
+        self.ctx = ctx
+
+    def submit(self, index: int) -> None:
+        """Start the discover of block ``index`` (here: run it now)."""
+        self.tasks[index].discover(self.ctx)
+
+    def wait(self, index: int) -> None:
+        """Return once block ``index``'s discover and its side effects landed."""
+
+    def done(self, index: int) -> None:
+        """Block ``index`` has been accumulated."""
+
+    def close(self) -> None:
+        """Tear the lane down."""
+
+    def extras(self) -> dict:
+        """Lane-specific entries for :attr:`ScheduleOutcome.extras`."""
+        return {}
+
+
 def _charge_sparse(ctx: StageContext, seconds: np.ndarray, multiplier: float) -> None:
     """Charge one block's per-rank sparse seconds (scaled) to the ledger."""
     ledger = ctx.comm.ledger
@@ -95,68 +135,134 @@ def _charge_alignment(
         ledger.count(rank, "alignment_cells", float(output.cells_per_rank[rank]))
 
 
-def _run_foreground_stages(
-    task: BlockTask,
-    ctx: StageContext,
-    timeline: StageTimeline,
-    align_mult: float = 1.0,
-    sparse_scheduled: np.ndarray | None = None,
-):
-    """The foreground half of one block, shared by every scheduler:
-    prune -> align -> charge alignment -> accumulate -> record the timing.
+def _sample_counters(ctx: StageContext) -> None:
+    """One counter sample per block boundary: live-memory gauges, cache
+    hit/miss counters, plus every cumulative counter the recorder holds (the
+    ledger charge hooks bump per-category totals between samples)."""
+    values = {
+        "live_blocks": float(ctx.accumulator.live_blocks),
+        "live_block_bytes": float(ctx.accumulator.live_block_bytes),
+    }
+    if ctx.cache is not None:
+        cache_counters = ctx.cache.counters()
+        values["cache_hits"] = float(cache_counters.get("hits", 0))
+        values["cache_misses"] = float(cache_counters.get("misses", 0))
+    ctx.trace.sample_counters(**values)
 
-    ``align_mult`` inflates the charged/scheduled alignment seconds (the
-    overlapped scheduler's contention); ``sparse_scheduled`` overrides the
-    timing's as-scheduled sparse seconds (raw when ``None``).  Returns
-    ``(record, output, align_scheduled)``.
+
+def run_blocks(
+    scheduler: "Scheduler", tasks: list[BlockTask], ctx: StageContext
+) -> ScheduleOutcome:
+    """The per-block loop of every scheduler (see the module docstring).
+
+    Results, records and every deterministic ledger category are the same
+    for every lane and depth: discovers complete and land their side
+    effects in block order, and the loop charges, aligns and accumulates in
+    block order on the calling thread.  Memory is bounded to ``depth + 1``
+    live blocks by the accumulator's admission gate.
     """
-    task.prune(ctx)
-    output = task.align(ctx)
-    _charge_alignment(ctx, output, align_mult)
-    align_sched = (
-        output.align_seconds_per_rank
-        if align_mult == 1.0
-        else output.align_seconds_per_rank * align_mult
+    depth = scheduler.depth
+    align_mult, sparse_mult = scheduler.multipliers(len(tasks))
+    timeline = StageTimeline(
+        scheduler=scheduler.name,
+        align_contention=align_mult,
+        sparse_contention=sparse_mult,
+        preblock_depth=max(depth, 1),
     )
-    record = task.accumulate(ctx)
-    timeline.append(
-        BlockTiming(
-            block_row=task.block_row,
-            block_col=task.block_col,
-            sparse_raw=record.sparse_seconds_per_rank,
-            align_raw=record.align_seconds_per_rank,
-            sparse_scheduled=(
-                record.sparse_seconds_per_rank
-                if sparse_scheduled is None
-                else sparse_scheduled
-            ),
-            align_scheduled=align_sched,
+    outcome = ScheduleOutcome(records=[], timeline=timeline)
+    if not tasks:
+        return outcome
+    if ctx.accumulator.max_live_blocks is None:
+        # the memory contract: the current block plus ``depth`` in flight
+        ctx.accumulator.max_live_blocks = depth + 1
+    phase_timer = Timer()
+    submitted = 0
+    lane = scheduler.open_lane(tasks, ctx)
+    try:
+        with phase_timer:
+            for index, task in enumerate(tasks):
+                while submitted <= min(index + depth, len(tasks) - 1):
+                    lane.submit(submitted)
+                    submitted += 1
+                lane.wait(index)
+                _charge_sparse(ctx, task.sparse_seconds, sparse_mult)
+                outcome.measured_discover_seconds += task.discover_wall_seconds
+
+                task.prune(ctx)
+                output = task.align(ctx)
+                _charge_alignment(ctx, output, align_mult)
+                record = task.accumulate(ctx)
+                outcome.kernel_seconds += output.kernel_seconds
+                outcome.measured_align_seconds += output.measured_seconds
+                outcome.records.append(record)
+                timeline.append(
+                    BlockTiming(
+                        block_row=task.block_row,
+                        block_col=task.block_col,
+                        sparse_raw=record.sparse_seconds_per_rank,
+                        align_raw=record.align_seconds_per_rank,
+                        sparse_scheduled=(
+                            record.sparse_seconds_per_rank
+                            if sparse_mult == 1.0
+                            else record.sparse_seconds_per_rank * sparse_mult
+                        ),
+                        align_scheduled=(
+                            output.align_seconds_per_rank
+                            if align_mult == 1.0
+                            else output.align_seconds_per_rank * align_mult
+                        ),
+                    )
+                )
+                if ctx.trace is not None:
+                    _sample_counters(ctx)
+                lane.done(index)
+    except BaseException:
+        # a lane worker parked in the admission gate can never be admitted
+        # once the loop stops draining blocks: wake it so close() can join
+        ctx.accumulator.abort_admission()
+        raise
+    finally:
+        lane.close()
+    timeline.measured_phase_seconds = phase_timer.elapsed
+
+    if depth:
+        # replay the executed schedule through the shared depth-k overlap
+        # algebra: align + spgemm - overlap_hidden == combined clock per rank
+        clock = np.zeros(ctx.comm.size)
+        OverlapWindow(ctx.comm.ledger, clock, OVERLAP_HIDDEN_CATEGORY).run_schedule(
+            [timing.align_scheduled for timing in timeline.blocks],
+            [timing.sparse_scheduled for timing in timeline.blocks],
+            depth=depth,
         )
-    )
-    if ctx.trace is not None:
-        # one counter sample per block boundary: live-memory gauges, cache
-        # hit/miss counters, plus every cumulative counter the recorder holds
-        # (the ledger charge hooks bump per-category totals between samples)
-        values = {
-            "live_blocks": float(ctx.accumulator.live_blocks),
-            "live_block_bytes": float(ctx.accumulator.live_block_bytes),
-        }
-        if ctx.cache is not None:
-            cache_counters = ctx.cache.counters()
-            values["cache_hits"] = float(cache_counters.get("hits", 0))
-            values["cache_misses"] = float(cache_counters.get("misses", 0))
-        ctx.trace.sample_counters(**values)
-    return record, output, align_sched
+        timeline.combined_per_rank = clock
+    outcome.extras = lane.extras()
+    return outcome
 
 
 class Scheduler:
-    """Base scheduler: executes a list of block tasks against a context."""
+    """Base scheduler: a lane, a depth and contention multipliers.
+
+    Each concrete scheduler defines ``run`` in its own class body
+    (delegating to :func:`run_blocks`), so a scheduler's run can be wrapped
+    per class by outside instrumentation.
+    """
 
     name: str = "base"
+    #: discovers in flight beyond the block being aligned
+    depth: int = 0
 
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
         """Execute every stage of every task; return records and timeline."""
         raise NotImplementedError
+
+    def multipliers(self, num_blocks: int) -> tuple[float, float]:
+        """``(align, sparse)`` contention multipliers on charged and
+        scheduled seconds."""
+        return 1.0, 1.0
+
+    def open_lane(self, tasks: list[BlockTask], ctx: StageContext) -> Lane:
+        """The lane that carries this run's discovers."""
+        return Lane(tasks, ctx)
 
 
 @dataclass
@@ -171,29 +277,7 @@ class SerialScheduler(Scheduler):
     name: str = "serial"
 
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
-        timeline = StageTimeline(scheduler=self.name)
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_seconds = 0.0
-        measured_discover = 0.0
-        phase_timer = Timer()
-        with phase_timer:
-            for task in tasks:
-                task.discover(ctx)
-                _charge_sparse(ctx, task.sparse_seconds, 1.0)
-                measured_discover += task.discover_wall_seconds
-                record, output, _ = _run_foreground_stages(task, ctx, timeline)
-                kernel_seconds += output.kernel_seconds
-                measured_seconds += output.measured_seconds
-                records.append(record)
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_seconds,
-            measured_discover_seconds=measured_discover,
-        )
+        return run_blocks(self, tasks, ctx)
 
 
 @dataclass
@@ -210,72 +294,15 @@ class OverlappedScheduler(Scheduler):
 
     name: str = "overlapped"
     contention: PreblockingModel = field(default_factory=PreblockingModel)
+    depth: ClassVar[int] = 1
 
     def run(self, tasks: list[BlockTask], ctx: StageContext) -> ScheduleOutcome:
-        num_blocks = len(tasks)
-        align_mult = self.contention.align_contention
-        sparse_mult = self.contention.sparse_contention(num_blocks)
-        timeline = StageTimeline(
-            scheduler=self.name,
-            align_contention=align_mult,
-            sparse_contention=sparse_mult,
-        )
-        if not tasks:
-            return ScheduleOutcome(records=[], timeline=timeline)
+        return run_blocks(self, tasks, ctx)
 
-        ledger = ctx.comm.ledger
-        records: list[BlockRecord] = []
-        kernel_seconds = 0.0
-        measured_seconds = 0.0
-        measured_discover = 0.0
-        clock = np.zeros(ctx.comm.size)
-        phase_timer = Timer()
-
-        with phase_timer:
-            # prologue: the first block's discovery has nothing to hide behind
-            tasks[0].discover(ctx)
-            _charge_sparse(ctx, tasks[0].sparse_seconds, sparse_mult)
-            measured_discover += tasks[0].discover_wall_seconds
-            sparse_sched_next = tasks[0].sparse_seconds * sparse_mult
-            clock += sparse_sched_next
-
-            for index, task in enumerate(tasks):
-                sparse_sched = sparse_sched_next
-                nxt = tasks[index + 1] if index + 1 < num_blocks else None
-                if nxt is not None:
-                    # CPU SpGEMM of block b+1 runs while block b is on the GPUs
-                    nxt.discover(ctx)
-                    _charge_sparse(ctx, nxt.sparse_seconds, sparse_mult)
-                    measured_discover += nxt.discover_wall_seconds
-                    sparse_sched_next = nxt.sparse_seconds * sparse_mult
-
-                record, output, align_sched = _run_foreground_stages(
-                    task, ctx, timeline,
-                    align_mult=align_mult,
-                    sparse_scheduled=sparse_sched,
-                )
-                kernel_seconds += output.kernel_seconds
-                measured_seconds += output.measured_seconds
-                records.append(record)
-
-                if nxt is not None:
-                    # the slot costs the slower of the two co-scheduled stages;
-                    # the hidden remainder is ledgered for reconciliation
-                    charge_overlap_slot(
-                        ledger, clock, align_sched, sparse_sched_next, OVERLAP_HIDDEN_CATEGORY
-                    )
-                else:
-                    # epilogue: the last block's alignment runs alone
-                    clock += align_sched
-
-        timeline.combined_per_rank = clock
-        timeline.measured_phase_seconds = phase_timer.elapsed
-        return ScheduleOutcome(
-            records=records,
-            timeline=timeline,
-            kernel_seconds=kernel_seconds,
-            measured_align_seconds=measured_seconds,
-            measured_discover_seconds=measured_discover,
+    def multipliers(self, num_blocks: int) -> tuple[float, float]:
+        return (
+            self.contention.align_contention,
+            self.contention.sparse_contention(num_blocks),
         )
 
 
@@ -283,8 +310,7 @@ def make_scheduler(name: str, **kwargs) -> Scheduler:
     """Factory: ``"serial"``, ``"overlapped"``, ``"threaded"`` or ``"process"``.
 
     Keyword arguments go to the scheduler — the threaded and process
-    executors take ``depth`` (speculative discovery depth) and
-    ``max_workers`` (discover pool size).
+    executors take ``depth`` (speculative discovery depth).
     """
     if name == "serial":
         return SerialScheduler(**kwargs)

@@ -19,9 +19,10 @@ with four explicit stages:
     matrices (the "incremental" part of incremental similarity search).
 
 Stages communicate through fields on the task; a stage may only run after
-its predecessor (asserted).  Schedulers decide *when* each stage of each
-task runs — the serial scheduler finishes a task before starting the next,
-the overlapped scheduler interleaves ``discover(b+1)`` with ``align(b)``.
+its predecessor (asserted).  The schedulers' shared block loop decides
+*when* each stage of each task runs — at depth 0 a task finishes before the
+next starts, at depth ``k`` ``discover(b+1..b+k)`` is issued before
+``align(b)``.
 
 When the context carries a :class:`~repro.core.engine.cache.StageCache`,
 ``discover`` first consults it: a hit replays the stored block — restoring
@@ -176,9 +177,10 @@ class BlockTask:
     def _replay_discover(self, ctx: StageContext, entry: CachedBlock) -> None:
         """Reproduce every side effect the cold discover had, from the entry.
 
-        Runs inside whatever ordering discipline the scheduler imposes on
-        discovers (the threaded executor's turnstile), so restores land in
-        block order exactly like the original charges did.
+        Every lane completes discovers in block order (inline, on the
+        threaded executor's single FIFO worker, or replayed by the process
+        executor's parent), so restores land in block order exactly like the
+        original charges did.
         """
         ctx.comm.ledger.restore(entry.ledger_times, entry.ledger_counters)
         engine = ctx.engine

@@ -5,8 +5,9 @@ per-rank sparse/align seconds (what the hardware model or measured clock
 produced) and the *scheduled* seconds actually charged to the ledger (raw
 times inflated by the contention multipliers of §VI-C when the overlapped
 scheduler shares the node between ADEPT's host threads and the next block's
-SpGEMM).  The overlapped scheduler also advances a per-rank simulated clock
-as it goes — ``combined_per_rank`` is that clock at the end of the run.
+SpGEMM).  A schedule with pre-blocking replays those scheduled seconds
+through the depth-``k`` overlap algebra after its loop —
+``combined_per_rank`` is the resulting per-rank clock.
 
 :meth:`StageTimeline.preblocking_report` derives the
 :class:`~repro.core.preblocking.PreblockingReport` (the Table-I row) from

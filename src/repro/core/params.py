@@ -57,35 +57,34 @@ class PastisParams:
         ``"index"`` or ``"triangularity"`` (§VI-B).
     pre_blocking:
         Overlap next-block SpGEMM with current-block alignment (§VI-C).
-        Under ``clock="modeled"`` (and ``preblock_depth == 1``) the overlap
-        is simulated by
-        :class:`~repro.core.engine.schedulers.OverlappedScheduler` with the
-        paper's contention multipliers; under ``clock="measured"`` (or any
-        ``preblock_depth > 1``) it is *executed* by the threaded
-        measured-clock executor
+        Every scheduler runs the same per-block loop
+        (:func:`~repro.core.engine.schedulers.run_blocks`); what
+        ``pre_blocking`` selects is the lane that carries the discovers.
+        Under ``clock="modeled"`` (and ``preblock_depth == 1``) they run
+        inline one block ahead, with the paper's contention multipliers
+        (:class:`~repro.core.engine.schedulers.OverlappedScheduler`); under
+        ``clock="measured"`` (or any ``preblock_depth > 1``) they run on one
+        worker thread concurrent with alignment
         (:class:`~repro.core.engine.executor.ThreadedScheduler`).  Results
         are bit-identical in every case.
     preblock_depth:
-        Speculative discovery depth ``k`` of the threaded executor: while
-        block ``b`` aligns, the discover stages of blocks ``b+1..b+k`` are
-        in flight, memory-bounded to ``k + 1`` live blocks by the streaming
-        accumulator's admission gate.  ``1`` is classic pre-blocking.
-        Ignored without ``pre_blocking``.
-    preblock_workers:
-        Workers of the executor's discover pool (``None`` = 1) — threads
-        for ``scheduler="threaded"``, processes for ``scheduler="process"``.
-        The discover lane's results land in block order by design, so one
-        worker carries it at full speed; the knob exists because worker
-        count must never change results (asserted in the engine tests).
+        Speculative discovery depth ``k``: while block ``b`` aligns, the
+        discover stages of blocks ``b+1..b+k`` are in flight, memory-bounded
+        to ``k + 1`` live blocks by the streaming accumulator's admission
+        gate.  ``1`` is classic pre-blocking.  ``scheduler="process"`` runs
+        ``k`` worker processes, since at most ``k`` discovers are ever in
+        flight.  Ignored without ``pre_blocking``.
     scheduler:
         Explicit scheduler override (``"serial"``, ``"overlapped"``,
         ``"threaded"`` or ``"process"``); ``None`` (default) derives the
-        scheduler from ``pre_blocking``/``clock``/``preblock_depth``.
-        ``"process"`` runs the discover lane in worker *processes* with the
-        block results shipped back through shared memory — the GIL-free
-        variant of ``"threaded"`` (see
-        :class:`~repro.core.engine.process_executor.ProcessScheduler`);
-        it requires the ``fork`` start method (Linux/macOS-with-fork).
+        scheduler from ``pre_blocking``/``clock``/``preblock_depth``.  The
+        four differ only in the lane that carries the discovers: inline
+        (``"serial"`` at depth 0, ``"overlapped"`` at depth 1), one worker
+        thread (``"threaded"``), or worker *processes* with the block
+        results shipped back through shared memory (``"process"``, the
+        GIL-free variant of ``"threaded"``; see
+        :class:`~repro.core.engine.process_executor.ProcessScheduler`),
+        which requires the ``fork`` start method (Linux/macOS-with-fork).
         Results are bit-identical across schedulers — the override selects
         an execution strategy, not a computation.
     nodes:
@@ -135,7 +134,7 @@ class PastisParams:
         (:mod:`repro.core.engine.cache`).  When set, every completed block
         is persisted under a deterministic content-hash key and later runs
         with the same inputs/parameters replay stored blocks instead of
-        recomputing them — bit-identically, across all three schedulers —
+        recomputing them — bit-identically, across all four schedulers —
         which is also what makes ``PastisPipeline.run(resume=True)`` pick a
         killed run up from its last completed block.  ``None`` (the default,
         seeded from :data:`repro.config.DEFAULTS`) disables caching.
@@ -146,8 +145,8 @@ class PastisParams:
     trace:
         Record structured spans and counter series for the run (see
         :mod:`repro.trace`): stage spans (discover/prune/align/accumulate),
-        cache hit/miss replays, SUMMA broadcast stages, admission and
-        turnstile waits, MCL iterations.  Off by default; the disabled
+        cache hit/miss replays, SUMMA broadcast stages, admission waits,
+        MCL iterations.  Off by default; the disabled
         path costs nothing, and tracing never perturbs results — records,
         edges and the deterministic ledger categories are bit-identical
         with tracing on (asserted in ``tests/test_trace.py``).  The
@@ -217,7 +216,6 @@ class PastisParams:
     load_balancing: str = "index"
     pre_blocking: bool = False
     preblock_depth: int = 1
-    preblock_workers: int | None = None
     scheduler: str | None = None
     nodes: int = 4
     align_batch_size: int = 128
@@ -270,8 +268,6 @@ class PastisParams:
             raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
         if self.preblock_depth < 1:
             raise ValueError("preblock_depth must be >= 1")
-        if self.preblock_workers is not None and self.preblock_workers < 1:
-            raise ValueError("preblock_workers must be >= 1 (or None for auto-sizing)")
         if self.scheduler not in (None, "serial", "overlapped", "threaded", "process"):
             raise ValueError(
                 "scheduler must be None, 'serial', 'overlapped', 'threaded' or "

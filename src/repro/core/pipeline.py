@@ -379,11 +379,7 @@ class PastisPipeline:
         else:
             scheduler_name = "overlapped"
         if scheduler_name in ("threaded", "process"):
-            scheduler = make_scheduler(
-                scheduler_name,
-                depth=params.preblock_depth,
-                max_workers=params.preblock_workers,
-            )
+            scheduler = make_scheduler(scheduler_name, depth=params.preblock_depth)
         else:
             scheduler = make_scheduler(scheduler_name)
         if state is not None:

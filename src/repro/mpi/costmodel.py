@@ -72,10 +72,10 @@ def charge_overlap_slot(
     categories by the caller, which keeps the ledger reconcilable with the
     clock: ``foreground + background − hidden == clock`` per rank.
 
-    This is the single slot of the §VI-C overlap algebra, shared by
-    :class:`repro.core.engine.schedulers.OverlappedScheduler` and
-    :class:`repro.graph.dist.DistMarkovClustering` so both schedules satisfy
-    the same reconciliation identity.
+    This is the single slot of the §VI-C overlap algebra: the depth-1
+    reference that :class:`OverlapWindow` — which the search engine's block
+    loop and :class:`repro.graph.dist.DistMarkovClustering` drive — must
+    match bit for bit (asserted in ``tests/test_mpi_runtime.py``).
     """
     foreground = np.asarray(foreground, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -236,13 +236,14 @@ class CostLedger:
     """Accumulates per-rank, per-category time (simulated or measured seconds).
 
     Thread safety: every mutation and read holds an internal lock, so the
-    threaded executor's two lanes (workers charging communication/measured
-    categories inside ``summa``, the main thread charging ``align`` and
-    ``spgemm``) can share one ledger without lost updates.  Note that the
-    lock makes concurrent charging *safe*, not *ordered* — reproducible
+    threaded executor's two lanes (the worker charging communication and
+    measured categories inside ``summa``, the main thread charging ``align``
+    and ``spgemm``) can share one ledger without lost updates.  Note that
+    the lock makes concurrent charging *safe*, not *ordered* — reproducible
     float sums additionally require that concurrent lanes charge disjoint
-    categories (which the executor's lane split guarantees) or charge in a
-    deterministic order (the executor's block-order turnstile).
+    categories (which the executor's lane split guarantees) and that each
+    lane charges in a deterministic order (block order: the discover lane is
+    one FIFO worker thread).
     """
 
     def __init__(self, nranks: int) -> None:

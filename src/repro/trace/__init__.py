@@ -6,7 +6,7 @@ records the run as it happened: a :class:`TraceRecorder` collects
 **spans** — ``(name, category, t_start, t_end, pid, tid, lane, block,
 attrs)`` — for every stage of every block (discover / prune / align /
 accumulate), cache loads and replays, SUMMA broadcast stages, admission
-and turnstile waits, MCL iterations and top-level pipeline phases, plus
+waits, MCL iterations and top-level pipeline phases, plus
 **counter series** (live blocks, ledger category totals, shm bytes,
 cache hits) sampled at block boundaries.
 
@@ -20,9 +20,10 @@ sites guard on ``ctx.trace is None`` (or the no-op handle from
 and every deterministic ledger category are bit-identical with tracing
 on (asserted in ``tests/test_trace.py``).
 
-All four schedulers emit through one recorder: Serial / Overlapped /
-Threaded record directly (the threaded executor adds ``admission_wait``
-and ``turnstile_wait`` spans from its worker threads);
+All four schedulers run one block loop and emit through one recorder:
+Serial / Overlapped / Threaded record directly (the threaded executor's
+single worker thread records its ``discover`` and ``admission_wait``
+spans, in block order);
 :class:`~repro.core.engine.process_executor.ProcessScheduler` workers
 journal spans into the per-block result header — the same pattern as
 their ``RecordingLedger`` ledger journal — and the parent merges them in

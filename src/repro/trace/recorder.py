@@ -7,8 +7,8 @@ A :class:`TraceRecorder` collects two kinds of events:
   coordinate, a display ``lane`` and free-form attributes.  Spans are
   emitted either through the :meth:`TraceRecorder.span` context manager
   (times taken at enter/exit) or through :meth:`TraceRecorder.add_span`
-  for intervals the caller already timed (e.g. the turnstile's wait
-  portion).
+  for intervals the caller already timed (e.g. one SUMMA broadcast
+  stage).
 * **counter samples** — ``(name, t, value)`` points of a time series.
   Cheap *cumulative* counters (:meth:`bump`, :meth:`set_value`) are plain
   dictionary updates on the hot path; they only become events when

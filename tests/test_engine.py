@@ -398,25 +398,21 @@ def _stats_equal_modulo_timing(stats_a, stats_b, ignore=frozenset()):
 
 @pytest.fixture(scope="module")
 def threaded_serial_baseline():
-    """Serial reference run for the depth x threads bit-identity matrix."""
+    """Serial reference run for the per-depth bit-identity tests."""
     seqs = synthetic_dataset(n_sequences=40, seed=3)
     return seqs, _run(seqs, num_blocks=6)
 
 
-# acceptance: bit-identical records/edges across depth {1, 2, 4} x threads
-# {1, 2, 4} — concurrency may reorder execution, never results
+# acceptance: bit-identical records/edges across depth {1, 2, 4} —
+# concurrency may reorder execution, never results
 @pytest.mark.parametrize("depth", [1, 2, 4])
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_threaded_scheduler_bit_identical_to_serial(
-    depth, threads, threaded_serial_baseline
-):
+def test_threaded_scheduler_bit_identical_to_serial(depth, threaded_serial_baseline):
     seqs, serial = threaded_serial_baseline
     threaded = _run(
         seqs,
         num_blocks=6,
         pre_blocking=True,
         preblock_depth=depth,
-        preblock_workers=threads,
         scheduler="threaded",
     )
     assert threaded.scheduler == "threaded"
@@ -471,7 +467,6 @@ def test_threaded_scheduler_measured_clock_same_results(threaded_serial_baseline
         clock="measured",
         pre_blocking=True,
         preblock_depth=2,
-        preblock_workers=2,
     )
     assert threaded.scheduler == "threaded"  # measured + pre-blocking selects it
     assert np.array_equal(
@@ -499,20 +494,16 @@ PROCESS_EXTRAS_KEYS = frozenset(
 
 
 # acceptance: bit-identical records/edges/stats/ledger across depth {1, 2, 4}
-# x worker processes {1, 2, 4} — fork, shm transport and parent-ordered
+# (``depth`` worker processes) — fork, shm transport and parent-ordered
 # replay may move work across processes, never change results
 @pytest.mark.parametrize("depth", [1, 2, 4])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_process_scheduler_bit_identical_to_serial(
-    depth, workers, threaded_serial_baseline
-):
+def test_process_scheduler_bit_identical_to_serial(depth, threaded_serial_baseline):
     seqs, serial = threaded_serial_baseline
     process = _run(
         seqs,
         num_blocks=6,
         pre_blocking=True,
         preblock_depth=depth,
-        preblock_workers=workers,
         scheduler="process",
     )
     assert process.scheduler == "process"
@@ -534,7 +525,7 @@ def test_process_scheduler_bit_identical_to_serial(
     # the process-specific extras are present and coherent
     lanes = process.stats.extras["process_lanes"]
     assert sum(lane["blocks"] for lane in lanes.values()) == 6
-    assert len(lanes) <= workers
+    assert len(lanes) <= depth
     assert process.stats.extras["shm_peak_block_bytes"] > 0
     assert (
         process.stats.extras["shm_total_bytes"]
@@ -582,7 +573,6 @@ def test_process_scheduler_measured_clock_same_results(threaded_serial_baseline)
         clock="measured",
         pre_blocking=True,
         preblock_depth=2,
-        preblock_workers=2,
         scheduler="process",
     )
     assert process.scheduler == "process"
@@ -630,7 +620,6 @@ def test_process_worker_death_fails_fast_and_sweeps_shm(
         pre_blocking=True,
         scheduler="process",
         preblock_depth=3,
-        preblock_workers=2,
     )
     outcome: list[BaseException] = []
 
@@ -661,9 +650,7 @@ def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatc
         raise ValueError("injected worker failure")
 
     monkeypatch.setattr(BlockedSpGemm, "compute_block", failing)
-    params = fast_params.replace(
-        num_blocks=6, pre_blocking=True, scheduler="process", preblock_workers=2
-    )
+    params = fast_params.replace(num_blocks=6, pre_blocking=True, scheduler="process")
     with pytest.raises(ValueError, match="injected worker failure"):
         PastisPipeline(params).run(small_seqs)
     import glob
@@ -843,47 +830,38 @@ def test_accumulator_abort_admission_unblocks_waiters():
     assert len(errors) == 1
 
 
-def test_turnstile_abort_wakes_parked_turn_waiters():
-    """A worker parked for a turn whose predecessor will never run (e.g. its
-    future was cancelled during teardown) can only be freed by aborting the
-    turnstile itself — the admission gate's abort does not reach this lane."""
-    import threading
-
-    from repro.core.engine.executor import _Turnstile
-
-    turnstile = _Turnstile()
-    errors: list[Exception] = []
-    entered = threading.Event()
-
-    def parked():
-        try:
-            with turnstile.turn(5):  # tickets 0..4 will never run
-                entered.set()
-        except RuntimeError as exc:
-            errors.append(exc)
-
-    worker = threading.Thread(target=parked)
-    worker.start()
-    turnstile.abort()
-    worker.join(timeout=5.0)
-    assert not worker.is_alive()
-    assert not entered.is_set()
-    assert len(errors) == 1 and "aborted" in str(errors[0])
-    # an aborted turnstile refuses new entrants too
-    with pytest.raises(RuntimeError, match="aborted"):
-        with turnstile.turn(0):
-            pass
+def test_threaded_discovers_run_on_one_worker_in_block_order(small_seqs, fast_params):
+    """The threaded lane is one worker thread running its jobs FIFO: every
+    discover span of a depth-3 run carries the same worker tid, and the
+    spans appear in block order."""
+    result = PastisPipeline(
+        fast_params.replace(
+            num_blocks=6,
+            pre_blocking=True,
+            scheduler="threaded",
+            preblock_depth=3,
+            trace=True,
+        )
+    ).run(small_seqs)
+    discovers = [s for s in result.trace.spans if s.name == "discover"]
+    assert len(discovers) == 6
+    main_tid = {s.tid for s in result.trace.spans if s.name == "align"}
+    worker_tids = {s.tid for s in discovers}
+    assert len(worker_tids) == 1 and worker_tids.isdisjoint(main_tid)
+    assert [s.block for s in discovers] == [
+        (r.block_row, r.block_col) for r in result.block_records
+    ]
+    starts = [s.t_start for s in discovers]
+    assert starts == sorted(starts)
 
 
 def test_threaded_discover_failure_propagates_without_deadlock(
     small_seqs, fast_params, monkeypatch
 ):
     """Regression: a discover-lane failure must surface the original error
-    and tear the run down promptly.  Before the fix, teardown aborted only
-    the accumulator's admission gate; a later-block worker parked in the
-    determinism *turnstile* (waiting for the dead block's turn, which can
-    never come) left ``pool.shutdown(wait=True)`` joining a thread that
-    could never wake."""
+    and tear the run down promptly — no later-block job may be left parked
+    where ``pool.shutdown(wait=True)`` would join a thread that can never
+    wake."""
     import threading
 
     from repro.distsparse.blocked_summa import BlockedSpGemm
@@ -903,7 +881,6 @@ def test_threaded_discover_failure_propagates_without_deadlock(
         pre_blocking=True,
         use_threads=True,
         preblock_depth=3,
-        preblock_workers=3,
     )
     outcome: list[BaseException] = []
 
@@ -928,27 +905,66 @@ def test_make_scheduler_factory():
     overlapped = make_scheduler("overlapped")
     assert isinstance(overlapped, OverlappedScheduler)
     assert overlapped.contention.align_contention > 1.0
-    threaded = make_scheduler("threaded", depth=3, max_workers=2)
+    threaded = make_scheduler("threaded", depth=3)
     assert isinstance(threaded, ThreadedScheduler)
-    assert (threaded.depth, threaded.max_workers) == (3, 2)
-    process = make_scheduler("process", depth=2, max_workers=3)
+    assert threaded.depth == 3
+    process = make_scheduler("process", depth=2)
     assert isinstance(process, ProcessScheduler)
-    assert (process.depth, process.max_workers) == (2, 3)
+    # a scheduler holds only its configuration: per-run state (pools, lane
+    # statistics) lives in the run's lane and comes back on the outcome
+    assert vars(process) == {"name": "process", "depth": 2}
     with pytest.raises(ValueError, match="depth"):
         make_scheduler("threaded", depth=0)
     with pytest.raises(ValueError, match="depth"):
         make_scheduler("process", depth=0)
-    with pytest.raises(ValueError, match="max_workers"):
-        make_scheduler("process", max_workers=0)
+    with pytest.raises(TypeError, match="max_workers"):
+        make_scheduler("process", max_workers=2)
     with pytest.raises(ValueError, match="unknown scheduler"):
         make_scheduler("speculative")
 
 
-def test_overlapped_scheduler_empty_task_list(small_seqs, fast_params):
-    """Degenerate schedule: no tasks still yields a coherent outcome."""
-    from repro.core.engine import OverlappedScheduler
-
-    outcome = OverlappedScheduler().run([], ctx=None)
+@pytest.mark.parametrize("name", ["serial", "overlapped", "threaded", "process"])
+def test_scheduler_empty_task_list(name):
+    """Degenerate schedule: no tasks still yields a coherent outcome, without
+    touching the context (no pool, no fork, no accumulator bound)."""
+    outcome = make_scheduler(name).run([], ctx=None)
     assert outcome.records == []
+    assert outcome.timeline.scheduler == name
     assert outcome.timeline.combined_per_rank is None
     assert outcome.timeline.preblocking_report(1.0) is None
+    assert outcome.extras == {}
+
+
+def test_overlapped_one_block_clock_and_ledger(small_seqs, fast_params):
+    """A one-block overlapped run: the first discover runs alone, then the
+    block's alignment runs alone — the clock is ``sparse·mult + align·mult``
+    bitwise and the ledger is the serial ledger with the multipliers applied;
+    ``overlap_hidden`` is charged, all zero."""
+    serial = PastisPipeline(fast_params.replace(num_blocks=1)).run(small_seqs)
+    overlapped = PastisPipeline(
+        fast_params.replace(num_blocks=1, pre_blocking=True)
+    ).run(small_seqs)
+    assert overlapped.scheduler == "overlapped"
+    timeline = overlapped.timeline
+    align_mult, sparse_mult = timeline.align_contention, timeline.sparse_contention
+    (record,) = overlapped.block_records
+    assert np.array_equal(
+        timeline.combined_per_rank,
+        record.sparse_seconds_per_rank * sparse_mult
+        + record.align_seconds_per_rank * align_mult,
+    )
+    ledger, reference = overlapped.ledger, serial.ledger
+    assert set(ledger.categories()) == set(reference.categories()) | {
+        OVERLAP_HIDDEN_CATEGORY
+    }
+    assert not ledger.per_rank(OVERLAP_HIDDEN_CATEGORY).any()
+    assert np.array_equal(
+        ledger.per_rank("spgemm"), reference.per_rank("spgemm") * sparse_mult
+    )
+    assert np.array_equal(
+        ledger.per_rank("align"), reference.per_rank("align") * align_mult
+    )
+    for category in ("comm", "cwait", "sparse_other", "io"):
+        assert np.array_equal(
+            ledger.per_rank(category), reference.per_rank(category)
+        ), category

@@ -72,13 +72,11 @@ SCHEDULER_OVERRIDES = [
     pytest.param({}, id="serial"),
     pytest.param({"pre_blocking": True}, id="overlapped"),
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "threaded"},
+        {"pre_blocking": True, "preblock_depth": 2, "scheduler": "threaded"},
         id="threaded",
     ),
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "process"},
+        {"pre_blocking": True, "preblock_depth": 2, "scheduler": "process"},
         id="process",
     ),
 ]
@@ -447,7 +445,6 @@ def test_sigkilled_process_run_leaves_valid_manifest(
         pre_blocking=True,
         scheduler="process",
         preblock_depth=3,
-        preblock_workers=2,
         run_registry=str(registry_dir),
     )
     outcome: list[BaseException] = []

@@ -69,13 +69,11 @@ SCHEDULER_OVERRIDES = [
     pytest.param({}, id="serial"),
     pytest.param({"pre_blocking": True}, id="overlapped"),
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "threaded"},
+        {"pre_blocking": True, "preblock_depth": 2, "scheduler": "threaded"},
         id="threaded",
     ),
     pytest.param(
-        {"pre_blocking": True, "preblock_depth": 2, "preblock_workers": 2,
-         "scheduler": "process"},
+        {"pre_blocking": True, "preblock_depth": 2, "scheduler": "process"},
         id="process",
     ),
 ]
@@ -198,7 +196,6 @@ def test_tracing_is_non_perturbing_per_scheduler(tiny_seqs, fast_params, overrid
         assert by_name.get(stage, 0) == 4, f"missing {stage!r} spans: {by_name}"
     assert by_name.get("summa_stage", 0) > 0
     if overrides.get("scheduler") == "threaded":
-        assert by_name.get("turnstile_wait", 0) == 4
         assert by_name.get("admission_wait", 0) == 4
     if overrides.get("scheduler") == "process":
         assert by_name.get("admission_wait", 0) == 4
@@ -258,7 +255,7 @@ def test_chrome_export_schema_and_nesting(tmp_path, tiny_seqs, fast_params):
     trace_dir = tmp_path / "trace"
     result = _run(
         tiny_seqs, fast_params, trace_dir=str(trace_dir),
-        pre_blocking=True, preblock_depth=2, preblock_workers=2,
+        pre_blocking=True, preblock_depth=2,
         scheduler="threaded",
     )
     assert result.trace is not None
@@ -341,7 +338,6 @@ def test_process_warm_run_merges_spans_from_multiple_workers(
         pre_blocking=True,
         scheduler="process",
         preblock_depth=3,
-        preblock_workers=2,
         cache_dir=str(tmp_path / "cache"),
     )
     PastisPipeline(params).run(tiny_seqs)  # cold: populate the cache
@@ -409,7 +405,6 @@ def test_sigkilled_process_run_exports_valid_partial_trace(
         pre_blocking=True,
         scheduler="process",
         preblock_depth=3,
-        preblock_workers=2,
         trace_dir=str(trace_dir),
     )
     outcome: list[BaseException] = []
@@ -482,7 +477,7 @@ def test_cli_diff(traced_dirs, capsys):
 def test_run_report_hoists_process_lane_keys(tiny_seqs, fast_params):
     result = _run(
         tiny_seqs, fast_params,
-        pre_blocking=True, scheduler="process", preblock_workers=2,
+        pre_blocking=True, scheduler="process",
         preblock_depth=2,
     )
     report = run_report(result.stats)
