@@ -11,8 +11,9 @@ The walkthrough for :mod:`repro.obs` — where :mod:`repro.trace` answers
    (``run.json``) to the local registry;
 2. look at what the metrics facade collected: ledger seconds per
    category, per-SUMMA-stage kernel seconds and measured compression
-   factors (journaled in the discover workers, merged parent-side),
-   cache hit/miss counters, per-lane stats;
+   factors (reduced from the run's trace recorder, which the discover
+   workers' kernel spans reach through the block-header journal), cache
+   hit/miss counters, per-lane stats;
 3. drive the registry CLI the way CI does: ``ls`` the runs, ``diff``
    cold vs warm, ``export`` Prometheus text, and ``regress`` the warm
    run against the cold baseline;
@@ -103,8 +104,8 @@ def main() -> None:
                                         backend="gustavson", stage="0")
     if kernel is not None:
         print(f"  stage-0 kernel seconds    {kernel['count']:.0f} obs, "
-              f"sum {kernel['sum']:.6f} (cold run; journaled in the "
-              f"workers, merged parent-side)")
+              f"sum {kernel['sum']:.6f} (cold run; reduced from the "
+              f"workers' spgemm_kernel spans)")
 
     # ---- 3. the registry CLI, as CI drives it --------------------------------
     print(f"\n$ python -m repro.obs ls --registry {registry_dir}")

@@ -11,7 +11,9 @@ The walkthrough for :mod:`repro.trace`:
 2. look at what the recorder collected: per-stage spans (discover /
    prune / align / accumulate), SUMMA broadcast stages, admission waits,
    cache loads and replays, with pid attribution across the parent and
-   the discover workers;
+   the discover workers — and reduce the same recorder to the run's
+   metrics (:meth:`repro.obs.MetricsHub.from_trace`), the one stream
+   both views come from;
 3. print the per-stage/per-lane breakdown the CLI would print
    (``python -m repro.trace summarize <trace_dir>``);
 4. point at the Perfetto document — drag ``trace.json`` onto
@@ -32,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import PastisParams, PastisPipeline
+from repro.obs import MetricsHub
 from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
 from repro.trace import summarize_text
 
@@ -86,6 +89,9 @@ def main() -> None:
     for name in ("cache_load", "cache_replay", "admission_wait", "accumulate"):
         count = sum(1 for span in recorder.spans if span.name == name)
         print(f"  {name:<16} x{count}")
+    hub = MetricsHub.from_trace(recorder)
+    print(f"  ledger align seconds {hub.value('ledger_seconds', category='align'):.6f} "
+          "(MetricsHub.from_trace over the same recorder)")
 
     # ---- 3. the CLI's per-stage / per-lane breakdown -------------------------
     print("\n" + summarize_text(OUT_DIR / "trace.jsonl"))

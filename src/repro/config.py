@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -131,17 +132,22 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     """Write ``data`` to ``path`` atomically (temp file + rename).
 
     Readers never observe a partially written file: the payload lands in a
-    sibling ``<name>.tmp`` first and is renamed over the target only once
-    fully written.  If anything fails after the temp file exists — a full
-    disk mid-write, a failed ``os.replace`` — the temp file is unlinked
-    before the error propagates, so a crash cannot strand ``.tmp`` litter
-    next to the real file.  Shared by :func:`write_calibration` and the
-    stage cache's entry writer (:mod:`repro.core.engine.cache`).
+    sibling ``<name>.<random>.tmp`` first and is renamed over the target
+    only once fully written.  Every writer gets its own temp file, so
+    concurrent writers of one path (two runs sharing a ``cache_dir``, two
+    index builds into one directory) never write into or rename away each
+    other's temp file: the last rename wins with one complete payload.  If
+    anything fails after the temp file exists — a full disk mid-write, a
+    failed ``os.replace`` — the temp file is unlinked before the error
+    propagates, so a crash cannot strand ``.tmp`` litter next to the real
+    file.  Shared by :func:`write_calibration`, the stage cache, the run
+    registry, the serving index and the trace writers.
     """
     p = Path(path)
-    tmp = p.with_name(p.name + ".tmp")
+    tmp = p.with_name(f"{p.name}.{uuid.uuid4().hex}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "xb") as handle:
+            handle.write(data)
         os.replace(tmp, p)
     except BaseException:
         tmp.unlink(missing_ok=True)

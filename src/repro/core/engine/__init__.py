@@ -98,10 +98,11 @@ ledger charging; the pipeline builds the task list and hands it over.
 All four produce bit-identical records, edges, stats and deterministic
 ledger categories; only wall-clock behavior differs.
 
-**Observability** (``PastisParams.trace`` / ``trace_dir``; see
+**Observability** (``PastisParams.trace`` / ``metrics``; see
 :mod:`repro.trace`): every scheduler emits spans through the optional
-``StageContext.trace`` recorder, and each span category maps onto one of
-the mechanisms above —
+``StageContext.trace`` recorder — the run's one instrumentation sink,
+present whenever tracing or metrics are on — and each span category maps
+onto one of the mechanisms above —
 
 * ``stage`` spans (``discover``/``prune``/``align``/``accumulate``) — the
   four :class:`BlockTask` stages, wherever they execute (main thread,
@@ -113,6 +114,9 @@ the mechanisms above —
   memory bound), on the threaded worker or the process executor's parent;
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
+* ``spgemm`` spans — ``spgemm_kernel`` is one rank's local multiply
+  (backend, stage, flops, measured compression factor) and
+  ``spgemm_dispatch`` one ``auto``-kernel routing decision;
 * ``transport``/``replay`` spans (``shm_ship``/``ledger_replay``) — the
   process executor's shared-memory shipping and the parent's block-ordered
   journal replay;
@@ -122,30 +126,31 @@ the mechanisms above —
 Serial/Overlapped/Threaded record directly into the run's recorder; the
 process executor's workers journal spans into the block header (the same
 pattern as their ledger journal) and the parent merges them in block
-order with worker-pid attribution.  Tracing is off by default, zero-cost
-when disabled, and non-perturbing: results stay bit-identical with it on.
+order with worker-pid attribution.  Instrumentation is off by default,
+zero-cost when disabled, and non-perturbing: results stay bit-identical
+with it on.
 
-**Tracing vs metrics** — two complementary observability layers share
-the instrumentation points above; pick by the question being asked:
+**Tracing vs metrics** — two views of that one event stream; pick by the
+question being asked:
 
 * *"When did what happen inside this one run?"* → **tracing**
-  (``PastisParams.trace``/``trace_dir``, :mod:`repro.trace`): ordered
-  spans with pid/tid attribution and block-boundary counter series,
-  exported as a Perfetto-loadable timeline.  High detail, one run at a
-  time, meant for eyeballs and ``python -m repro.trace diff``.
+  (``PastisParams.trace``/``trace_dir``, :mod:`repro.trace`): the
+  recorder itself — ordered spans with pid/tid attribution and
+  block-boundary counter series, exported as a Perfetto-loadable
+  timeline.  High detail, one run at a time, meant for eyeballs and
+  ``python -m repro.trace diff``.
 * *"How much, and is it getting slower across runs?"* → **metrics**
-  (``PastisParams.metrics``/``run_registry``, :mod:`repro.obs`): typed
-  counters/gauges/histograms with label sets — ledger seconds per
-  category, phase timers, cache hit/miss counts, lane stats, per-SUMMA
-  -stage kernel seconds and measured compression factors — aggregated
-  per run, persisted as registry manifests, scraped via Prometheus text
+  (``PastisParams.metrics``/``run_registry``, :mod:`repro.obs`): the
+  recorder reduced at the end of the run by
+  :meth:`~repro.obs.MetricsHub.from_trace` to typed counters/gauges/
+  histograms with label sets — ledger seconds per category, phase
+  seconds, per-SUMMA-stage kernel seconds and measured compression
+  factors, dispatch decisions — plus cache hit/miss counts and lane
+  stats; persisted as registry manifests, scraped via Prometheus text
   exposition, and guarded by ``python -m repro.obs regress``.
 
-Both ride the same ledger trace hook (fanned out when both are on), use
-the same worker-journaling transport under the process scheduler, and
-carry the same contract: off by default, near-zero-cost when disabled,
-and non-perturbing — ``tests/test_trace.py`` and ``tests/test_obs.py``
-assert bit-identity per scheduler.
+``tests/test_trace.py`` and ``tests/test_obs.py`` assert bit-identity
+per scheduler for both.
 """
 
 from .accumulator import StreamingGraphAccumulator

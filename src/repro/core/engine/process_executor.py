@@ -63,7 +63,6 @@ from ...distsparse.blocked_summa import OutputBlock
 from ...distsparse.summa import SummaResult
 from ...metrics.timers import time_call
 from ...mpi.costmodel import CostLedger
-from ...obs import MetricsHub, activate_metrics
 from ...sparse.coo import CooMatrix
 from ...trace import TraceRecorder, activate, maybe_span
 from .cache import LANE_COUNTERS, CachedBlock, lane_time_categories
@@ -165,9 +164,6 @@ class _BlockHeader:
     #: the worker's pid attribution intact, in block order
     trace_spans: list = field(default_factory=list)
     trace_counters: list = field(default_factory=list)
-    #: metrics events the worker's journaling hub recorded for this block
-    #: (SUMMA kernel dispatch records); merged parent-side in block order
-    metrics_events: list = field(default_factory=list)
 
 
 def _ship_result(result: SummaResult, segment_name: str):
@@ -305,24 +301,6 @@ def _worker_trace(ctx: StageContext) -> TraceRecorder | None:
     return _WORKER_TRACE
 
 
-#: The worker process's own journaling metrics hub — same lifecycle as
-#: :data:`_WORKER_TRACE`: built lazily, re-pointing the forked copy of the
-#: active-hub global so the SUMMA stage loop records into the worker's own
-#: journal instead of the (forked, dead-end) parent hub.
-_WORKER_METRICS: MetricsHub | None = None
-
-
-def _worker_metrics(ctx: StageContext) -> MetricsHub | None:
-    """The per-process worker hub (None when the run collects no metrics)."""
-    global _WORKER_METRICS
-    if ctx.metrics is None:
-        return None
-    if _WORKER_METRICS is None:
-        _WORKER_METRICS = MetricsHub(journal=True)
-        activate_metrics(_WORKER_METRICS)
-    return _WORKER_METRICS
-
-
 def _worker_discover(index: int, block_row: int, block_col: int, segment_name: str):
     """Compute one block in a worker process; ship the result via shm.
 
@@ -337,7 +315,6 @@ def _worker_discover(index: int, block_row: int, block_col: int, segment_name: s
             "the 'fork' start method"
         )
     trace = _worker_trace(ctx)
-    metrics = _worker_metrics(ctx)
     coords = (block_row, block_col)
     cache = ctx.cache
     if cache is not None:
@@ -355,8 +332,6 @@ def _worker_discover(index: int, block_row: int, block_col: int, segment_name: s
             )
             if trace is not None:
                 header.trace_spans, header.trace_counters = trace.drain()
-            if metrics is not None:
-                header.metrics_events = metrics.drain()
             return header
     # journal the discover lane's ledger traffic in this worker's forked
     # copy; comm.ledger and comm.collectives.ledger alias one object, so
@@ -399,8 +374,6 @@ def _worker_discover(index: int, block_row: int, block_col: int, segment_name: s
     )
     if trace is not None:
         header.trace_spans, header.trace_counters = trace.drain()
-    if metrics is not None:
-        header.metrics_events = metrics.drain()
     return header
 
 
@@ -418,11 +391,6 @@ def _admit_block(header: _BlockHeader, task: BlockTask, ctx: StageContext):
         # worker-journaled spans arrive with the header and merge here, in
         # block order, keeping the worker's pid/tid attribution intact
         ctx.trace.merge(header.trace_spans, header.trace_counters)
-    if ctx.metrics is not None and header.metrics_events:
-        # worker kernel-dispatch records, merged in the same block order
-        # (ledger-fed metrics need no journal: replay_ledger_events below
-        # re-fires the parent ledger's trace hook)
-        ctx.metrics.merge(header.metrics_events)
     coords = (task.block_row, task.block_col)
     cache = ctx.cache
     if header.entry is not None:

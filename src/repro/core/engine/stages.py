@@ -44,7 +44,6 @@ import numpy as np
 from ...distsparse.blocked_summa import BlockedSpGemm, BlockSchedule, OutputBlock
 from ...metrics.timers import time_call
 from ...mpi.communicator import SimCommunicator
-from ...obs import MetricsHub
 from ...trace import TraceRecorder, maybe_span
 from ...sparse.coo import CooMatrix
 from ..align_phase import AlignmentPhase, BlockAlignmentOutput
@@ -100,12 +99,11 @@ class StageContext:
     stripe_seconds: float = 0.0
     #: optional per-block result cache (None disables caching entirely)
     cache: StageCache | None = None
-    #: optional span recorder (None — the default — disables tracing; every
-    #: instrumented site guards on it, so the disabled path costs nothing)
+    #: optional span recorder — the run's one instrumentation sink, present
+    #: when tracing or metrics are on (None — the default — disables both;
+    #: every instrumented site guards on it, so the disabled path costs
+    #: nothing)
     trace: TraceRecorder | None = None
-    #: optional metrics hub (None — the default — disables collection, with
-    #: the same guard-on-None zero-cost contract as tracing)
-    metrics: MetricsHub | None = None
 
 
 @dataclass

@@ -145,11 +145,13 @@ class PastisParams:
     trace:
         Record structured spans and counter series for the run (see
         :mod:`repro.trace`): stage spans (discover/prune/align/accumulate),
-        cache hit/miss replays, SUMMA broadcast stages, admission waits,
-        MCL iterations.  Off by default; the disabled
-        path costs nothing, and tracing never perturbs results — records,
-        edges and the deterministic ledger categories are bit-identical
-        with tracing on (asserted in ``tests/test_trace.py``).  The
+        cache hit/miss replays, SUMMA broadcast stages and local multiplies,
+        admission waits, MCL iterations.  The recorder is the run's one
+        instrumentation sink, shared with ``metrics``.  Off by default;
+        the disabled path costs nothing, and tracing never perturbs
+        results — records, edges and the deterministic ledger categories
+        are bit-identical with tracing on (asserted in
+        ``tests/test_trace.py``).  The
         recorder is returned on ``SearchResult.trace``; with ``trace_dir``
         also set, the run additionally writes ``trace.jsonl`` (canonical)
         and ``trace.json`` (Chrome trace-event, loadable in Perfetto /
@@ -158,14 +160,17 @@ class PastisParams:
         Directory the trace files are exported into (created if missing).
         Implies ``trace=True``.
     metrics:
-        Collect typed counters/gauges/histograms for the run through a
+        Collect typed counters/gauges/histograms for the run in a
         :class:`repro.obs.MetricsHub` (ledger seconds per category, phase
-        timers, cache hit/miss counters, scheduler lane stats, and
+        seconds, cache hit/miss counters, scheduler lane stats, and
         per-SUMMA-stage kernel dispatch records with measured compression
-        factors).  Off by default; like tracing it is near-zero-cost when
-        disabled and never perturbs results (asserted per scheduler in
-        ``tests/test_obs.py``).  The hub is returned on
-        ``SearchResult.metrics``.
+        factors).  The run records into the same trace recorder ``trace``
+        uses — kept off ``SearchResult.trace`` unless tracing is on too —
+        and reduces it to the hub at the end of the run
+        (:meth:`repro.obs.MetricsHub.from_trace`).  Off by default; like
+        tracing it is near-zero-cost when disabled and never perturbs
+        results (asserted per scheduler in ``tests/test_obs.py``).  The hub
+        is returned on ``SearchResult.metrics``.
     run_registry:
         Directory of the persistent run registry (see
         :mod:`repro.obs.registry`).  When set, every run — successful or

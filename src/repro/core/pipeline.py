@@ -43,7 +43,7 @@ raw ledger.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +51,11 @@ import numpy as np
 from ..distsparse.blocked_summa import BlockedSpGemm
 from ..graph.api import ClusteringResult, cluster_similarity_graph
 from ..metrics.memory import MemoryTracker
-from ..metrics.timers import TimerRegistry
 from ..mpi.communicator import SimCommunicator
-from ..obs import LedgerFanout, MetricsHub, activate_metrics, deactivate_metrics
+from ..obs import MetricsHub
 from ..obs.manifest import build_manifest
 from ..obs.registry import RunRegistry
-from ..trace import TraceRecorder, activate, deactivate, maybe_span, write_trace
+from ..trace import TraceRecorder, activate, deactivate, write_trace
 from ..mpi.io import ParallelIoModel
 from ..mpi.process_grid import is_perfect_square
 from ..distsparse.distribute import distribute_sequences
@@ -140,52 +139,52 @@ class PastisPipeline:
         (a partial trace of a crashed run is often the most useful one).
         Tracing never perturbs results.
 
-        With ``params.metrics``/``params.run_registry`` set, the run
-        additionally collects typed metrics into a
-        :class:`repro.obs.MetricsHub` (returned on
-        ``SearchResult.metrics``) and — when ``run_registry`` is set —
+        With ``params.metrics``/``params.run_registry`` set, the run records
+        into the same recorder (tracing or not) and reduces it to a
+        :class:`repro.obs.MetricsHub` at the end (returned on
+        ``SearchResult.metrics``); when ``run_registry`` is set it also
         appends a schema-versioned ``run.json`` manifest to that registry
         directory, again on success *and* on failure: a crashed run's
-        manifest records its exit status and whatever phase timers had
-        accumulated.  Metrics collection never perturbs results either.
+        manifest records its exit status, the phase seconds accumulated so
+        far and the metrics reduced from whatever the recorder holds.
+        Metrics collection never perturbs results either.
         """
         params = self.params
-        tracer = TraceRecorder() if params.trace_enabled else None
-        hub = MetricsHub() if params.metrics_enabled else None
-        phases = TimerRegistry()
-        if tracer is None and hub is None:
-            return self._run_impl(sequences, resume, None, None, phases, None)
+        # measured wall seconds per top-level phase — filled in as each
+        # phase exits, so a failed run keeps its interrupted phase's time
+        phase_seconds: dict[str, float] = {}
+        if not (params.trace_enabled or params.metrics_enabled):
+            return self._run_impl(sequences, resume, None, phase_seconds, None)
+        # one recorder is the run's only instrumentation sink: ledger charge
+        # hooks, stage/SUMMA/kernel spans and worker journals all land in it,
+        # and the metrics hub is reduced from it
+        recorder = TraceRecorder()
         # the failure path reports from whatever state the run built before
         # dying; _run_impl fills this in as the pieces come up
         state = _RunState()
-        if tracer is not None:
-            # deep sites without a StageContext (the SUMMA stage loop, MCL
-            # iterations) reach the recorder through the active-tracer global
-            activate(tracer)
-        if hub is not None:
-            # same pattern for metrics: spgemm_auto dispatch decisions and
-            # the SUMMA stage loop find the hub through the active global
-            activate_metrics(hub)
+        # deep sites without a StageContext (the SUMMA stage loop, the
+        # spgemm_auto dispatch, MCL iterations) reach the recorder through
+        # the active-tracer global
+        activate(recorder)
         try:
-            result = self._run_impl(sequences, resume, tracer, hub, phases, state)
+            return self._run_impl(sequences, resume, recorder, phase_seconds, state)
         except BaseException as exc:
-            if tracer is not None and params.trace_dir is not None:
+            if params.trace_dir is not None:
                 try:  # best effort: never mask the run's own failure
-                    write_trace(tracer, params.trace_dir)
+                    write_trace(recorder, params.trace_dir)
                 except Exception:
                     pass
             if params.run_registry is not None:
-                try:  # ditto — and the partial phase timers (the Timer
-                    # context manager accumulates on exceptions) are often
-                    # the only timing a crashed run leaves behind
+                try:  # ditto — and the partial phase seconds are often the
+                    # only timing a crashed run leaves behind
                     RunRegistry(params.run_registry).record(
                         build_manifest(
                             params=params,
                             status="error",
                             error=exc,
                             scheduler=state.scheduler,
-                            phases=phases,
-                            hub=hub,
+                            phases=phase_seconds,
+                            hub=MetricsHub.from_trace(recorder),
                             comm=state.comm,
                             cache=state.cache,
                         )
@@ -194,30 +193,35 @@ class PastisPipeline:
                     pass
             raise
         finally:
-            if tracer is not None:
-                deactivate()
-            if hub is not None:
-                deactivate_metrics()
-        return result
+            deactivate()
 
     def _run_impl(
         self,
         sequences: SequenceSet,
         resume: bool,
-        tracer: TraceRecorder | None,
-        hub: MetricsHub | None,
-        phases: TimerRegistry,
+        recorder: TraceRecorder | None,
+        phase_seconds: dict[str, float],
         state: "_RunState | None",
     ) -> SearchResult:
         params = self.params
 
-        def phase(name: str) -> ExitStack:
-            # one top-level phase: always timed into the registry (reported
-            # as extras["phase_seconds"]), additionally spanned when tracing
-            stack = ExitStack()
-            stack.enter_context(phases.timer(name))
-            stack.enter_context(maybe_span(tracer, name, "phase", lane="phase"))
-            return stack
+        @contextmanager
+        def phase(name: str):
+            # one top-level phase, timed by one perf_counter pair: always into
+            # phase_seconds (reported as extras["phase_seconds"]), and as a
+            # "phase" span when the run has a recorder
+            attrs = {}
+            t0 = time.perf_counter()
+            try:
+                yield
+            except BaseException as exc:
+                attrs["error"] = type(exc).__name__
+                raise
+            finally:
+                t1 = time.perf_counter()
+                phase_seconds[name] = phase_seconds.get(name, 0.0) + (t1 - t0)
+                if recorder is not None:
+                    recorder.add_span(name, "phase", t0, t1, lane="phase", **attrs)
 
         if resume and params.cache_dir is None:
             raise ValueError(
@@ -241,16 +245,10 @@ class PastisPipeline:
         comm = SimCommunicator(params.nodes)
         if state is not None:
             state.comm = comm
-        # the ledger's trace hook feeds whichever sinks are active: every
-        # charge/charge_all bumps the tracer's per-category cumulative
-        # counters (sampled into events at block boundaries) and/or the
-        # metrics hub's labeled ledger_seconds counters
-        if tracer is not None and hub is not None:
-            comm.ledger.trace = LedgerFanout(tracer, hub)
-        elif tracer is not None:
-            comm.ledger.trace = tracer
-        elif hub is not None:
-            comm.ledger.trace = hub
+        # every charge/charge_all bumps the recorder's per-category cumulative
+        # counters (sampled into events at block boundaries, and the source
+        # of the metrics hub's ledger_seconds)
+        comm.ledger.trace = recorder
         cost_model = CostModel(node=comm.cluster.node)
         io_model = ParallelIoModel(cluster=comm.cluster, ledger=comm.ledger)
         # "cluster" is excluded from the Table-IV total: the paper's runtime
@@ -359,8 +357,7 @@ class PastisPipeline:
             accumulator=accumulator,
             stripe_seconds=cost_model.sparse_traversal_seconds(stripe_bytes_per_rank),
             cache=stage_cache,
-            trace=tracer,
-            metrics=hub,
+            trace=recorder,
         )
         if state is not None:
             state.cache = stage_cache
@@ -400,14 +397,12 @@ class PastisPipeline:
         clustering = None
         cluster_seconds = 0.0
         if params.cluster.enabled:
-            t0 = time.perf_counter()
             with phase("cluster"):
                 clustering = cluster_similarity_graph(graph, params.cluster)
-            cluster_wall = time.perf_counter() - t0
             if params.clock != "modeled":
                 # measured clock: every category holds wall seconds, so the
                 # cluster stage must too (whatever driver produced it)
-                cluster_seconds = cluster_wall / comm.size
+                cluster_seconds = phase_seconds["cluster"] / comm.size
             elif clustering.dist is not None:
                 # distributed MCL (ClusterParams.nprocs > 1) ran on its own
                 # cluster_* ledger grid; its bulk-synchronous stage total
@@ -476,9 +471,9 @@ class PastisPipeline:
                 "peak_live_blocks": float(accumulator.peak_live_blocks),
                 "edge_buffer_bytes": float(accumulator.memory.peak("edge_buffer")),
                 "spgemm_row_groups": float(engine.total_stats.row_groups),
-                # measured wall seconds of the top-level phases, backed by
-                # the TimerRegistry (a timing key: values vary run to run)
-                "phase_seconds": phases.summary(),
+                # measured wall seconds of the top-level phases (a timing
+                # key: values vary run to run)
+                "phase_seconds": dict(sorted(phase_seconds.items())),
             },
         )
         # scheduler-specific report entries (process-lane timings, shm bytes)
@@ -499,17 +494,19 @@ class PastisPipeline:
                 **clustering.summary(),
                 "modeled_seconds": cluster_seconds,
             }
-        if hub is not None:
-            _feed_metrics(hub, phases, stage_cache, outcome, engine, accumulator)
-        if tracer is not None and params.trace_dir is not None:
-            write_trace(tracer, params.trace_dir)
+        hub = None
+        if params.metrics_enabled:
+            hub = MetricsHub.from_trace(recorder)
+            _feed_metrics(hub, stage_cache, outcome, engine, accumulator)
+        if params.trace_dir is not None:
+            write_trace(recorder, params.trace_dir)
         if params.run_registry is not None:
             RunRegistry(params.run_registry).record(
                 build_manifest(
                     params=params,
                     status="ok",
                     scheduler=scheduler.name,
-                    phases=phases,
+                    phases=phase_seconds,
                     hub=hub,
                     comm=comm,
                     cache=stage_cache,
@@ -529,7 +526,7 @@ class PastisPipeline:
             memory=accumulator.memory,
             scheduler=scheduler.name,
             clustering=clustering,
-            trace=tracer,
+            trace=recorder if params.trace_enabled else None,
             metrics=hub,
             query_rows=plan.query_rows if query_mode else None,
         )
@@ -545,13 +542,10 @@ class _RunState:
     scheduler: str | None = None
 
 
-def _feed_metrics(hub, phases, stage_cache, outcome, engine, accumulator) -> None:
-    """End-of-run ingestion of everything the hub can't see live:
-    phase timers, cache counters, scheduler lane stats, peak memory.
-    (Ledger seconds and SUMMA kernel records arrive live via the ledger
-    hook and the active-hub global.)"""
-    for name, seconds in phases.summary().items():
-        hub.gauge_set("phase_seconds", seconds, phase=name)
+def _feed_metrics(hub, stage_cache, outcome, engine, accumulator) -> None:
+    """End-of-run gauges the recorder holds no events for: cache counters,
+    scheduler lane stats, shm and peak memory.  (Ledger seconds, phase
+    seconds and SUMMA kernel records are reduced from the recorder.)"""
     if stage_cache is not None:
         for kind, count in stage_cache.counters().items():
             hub.counter_add("cache_events", float(count), kind=kind)

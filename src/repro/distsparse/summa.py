@@ -35,7 +35,6 @@ from ..sparse.kernels import (
     resolve_kernel,
 )
 from ..sparse.semiring import Semiring
-from ..obs import current_metrics
 from ..sparse.spgemm import SpGemmStats
 from ..trace import current_tracer
 from .distmat import DistSparseMatrix
@@ -112,6 +111,16 @@ def _concat_received(
     cols = np.concatenate([blk.cols + coff for blk, _, coff in nonempty])
     values = np.concatenate([blk.values for blk, _, _ in nonempty])
     return CooMatrix(shape, rows, cols, values, check=False)
+
+
+def _kernel_span(tracer, t0, t1, rank, backend, stage, pstats) -> None:
+    """One local multiply as a ``spgemm_kernel`` span over its ``t0``/``t1``
+    pair, so the span's duration is the kernel seconds charged."""
+    tracer.add_span(
+        "spgemm_kernel", "spgemm", t0, t1, lane="discover", rank=rank,
+        backend=backend, stage=stage, flops=float(pstats.flops),
+        cf=float(pstats.compression_factor),
+    )
 
 
 def summa(
@@ -194,16 +203,15 @@ def summa(
     flops_per_rank = np.zeros(grid.nprocs)
     comm_before = ledger.per_rank(engine.comm_category).copy()
     # spans go to whatever recorder is active in this process (the parent's,
-    # or a process-pool worker's own journal); summa has no StageContext, so
-    # it reaches the tracer through the module-level active-tracer global
+    # or a process-pool worker's own, journaled home in the block header);
+    # summa has no StageContext, so it reaches the recorder through the
+    # module-level active-tracer global.  Besides the stage spans, every
+    # local multiply records one ``spgemm_kernel`` span (backend, stage,
+    # flops, measured compression factor) — the events the run's metrics
+    # hub reduces to its per-stage kernel histograms
     tracer = current_tracer()
-    # kernel dispatch records (measured compression factor + per-kernel
-    # seconds, the raw material for online adaptive dispatch) go to the
-    # active metrics hub the same way — a worker's journaling hub rides the
-    # block header back to the parent
-    metrics = current_metrics()
     backend_label = ""
-    if metrics is not None:
+    if tracer is not None:
         backend_label = (
             spgemm_backend
             if isinstance(spgemm_backend, str)
@@ -252,14 +260,11 @@ def summa(
             partial, pstats = spgemm_kernel(
                 a_block, b_block, semiring, return_stats=True, **kernel_kwargs
             )
-            kernel_dt = time.perf_counter() - t0
-            compute_seconds[rank] += kernel_dt
+            t1 = time.perf_counter()
+            compute_seconds[rank] += t1 - t0
             stats = stats.merge(pstats)
-            if metrics is not None:
-                metrics.record_spgemm_stage(
-                    backend_label, k, kernel_dt, pstats.flops,
-                    pstats.compression_factor,
-                )
+            if tracer is not None:
+                _kernel_span(tracer, t0, t1, rank, backend_label, k, pstats)
             if partial.nnz:
                 partials[rank].append(
                     CooMatrix(
@@ -292,14 +297,11 @@ def summa(
             partial, pstats = spgemm_kernel(
                 a_local, b_local, semiring, return_stats=True, **kernel_kwargs
             )
-            kernel_dt = time.perf_counter() - t0
-            compute_seconds[rank] += kernel_dt
+            t1 = time.perf_counter()
+            compute_seconds[rank] += t1 - t0
             stats = stats.merge(pstats)
-            if metrics is not None:
-                metrics.record_spgemm_stage(
-                    backend_label, "merge", kernel_dt, pstats.flops,
-                    pstats.compression_factor,
-                )
+            if tracer is not None:
+                _kernel_span(tracer, t0, t1, rank, backend_label, "merge", pstats)
             # operand coordinates were global, so the output already is too
             per_rank.append(
                 CooMatrix(output_shape, partial.rows, partial.cols, partial.values, check=False)

@@ -7,7 +7,7 @@ min/avg/max load-imbalance and the parallel-efficiency calculations used in
 the figures.
 """
 
-from .timers import Timer, TimerRegistry, time_call
+from .timers import Timer, time_call
 from .counters import RateCounters, tcups, format_rate
 from .imbalance import imbalance_stats, imbalance_percent
 from .efficiency import speedup, parallel_efficiency, weak_scaling_efficiency
@@ -15,7 +15,6 @@ from .memory import MemoryTracker
 
 __all__ = [
     "Timer",
-    "TimerRegistry",
     "time_call",
     "RateCounters",
     "tcups",

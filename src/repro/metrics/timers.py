@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -46,26 +45,3 @@ def time_call(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
-
-
-class TimerRegistry:
-    """A set of named accumulating timers (one per pipeline component)."""
-
-    def __init__(self) -> None:
-        self._timers: dict[str, Timer] = defaultdict(Timer)
-
-    def timer(self, name: str) -> Timer:
-        """The timer with the given name (created on first use)."""
-        return self._timers[name]
-
-    def elapsed(self, name: str) -> float:
-        """Accumulated seconds of one timer (0 if never used)."""
-        return self._timers[name].elapsed if name in self._timers else 0.0
-
-    def summary(self) -> dict[str, float]:
-        """All timers' accumulated seconds."""
-        return {name: timer.elapsed for name, timer in sorted(self._timers.items())}
-
-    def total(self) -> float:
-        """Sum over all timers."""
-        return sum(t.elapsed for t in self._timers.values())

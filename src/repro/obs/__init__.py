@@ -1,12 +1,14 @@
 """Run observability: metrics facade, run registry, regression detection.
 
-Three layers, built on top of (and complementary to) :mod:`repro.trace`:
+Three layers over the one event stream :mod:`repro.trace` records:
 
 * :class:`MetricsHub` — typed counters/gauges/histograms with label
-  sets, fed from the ``CostLedger`` trace hook, phase timers, cache
-  counters, scheduler lane stats, and per-SUMMA-stage kernel dispatch
-  records.  Enabled with ``PastisParams.metrics``; the hub rides on
-  ``SearchResult.metrics``.
+  sets.  A run with ``PastisParams.metrics`` records into the same
+  :class:`~repro.trace.TraceRecorder` a traced run does (ledger charge
+  hooks, SUMMA kernel and dispatch spans, phase spans), and the pipeline
+  reduces that recorder to a hub with :meth:`MetricsHub.from_trace` at the
+  end of the run, adding the cache, lane and memory gauges.  The hub
+  rides on ``SearchResult.metrics``.
 * :mod:`repro.obs.manifest` / :mod:`repro.obs.registry` — every
   ``PastisPipeline.run`` with ``PastisParams.run_registry`` set writes a
   schema-versioned ``run.json`` manifest (success *and* failure paths)
@@ -15,8 +17,7 @@ Three layers, built on top of (and complementary to) :mod:`repro.trace`:
   detection over registry runs and ``BENCH_*.json`` trajectories, via
   ``python -m repro.obs regress``.
 
-This ``__init__`` stays import-light (metrics + the active-hub global
-only) so low-level modules can depend on it without cycles; manifest,
+This ``__init__`` imports only the stdlib-only metrics module; manifest,
 registry, and regress are imported explicitly by their users.
 
 Like tracing, collection is off by default, near-zero-cost when
@@ -26,35 +27,9 @@ bit-identity with metrics on, per scheduler.
 
 from __future__ import annotations
 
-from .metrics import LedgerFanout, MetricsHub, prometheus_from_snapshot
+from .metrics import MetricsHub, prometheus_from_snapshot
 
 __all__ = [
     "MetricsHub",
-    "LedgerFanout",
     "prometheus_from_snapshot",
-    "activate_metrics",
-    "deactivate_metrics",
-    "current_metrics",
 ]
-
-# The active hub is a plain module global (not a thread-local) for the
-# same reason the active tracer is: scheduler pool threads and forked
-# discover workers must all see the hub that the pipeline activated.
-_ACTIVE: MetricsHub | None = None
-
-
-def activate_metrics(hub: MetricsHub) -> MetricsHub:
-    """Install *hub* as the process-wide active metrics sink."""
-    global _ACTIVE
-    _ACTIVE = hub
-    return hub
-
-
-def deactivate_metrics() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def current_metrics() -> MetricsHub | None:
-    """The active hub, or ``None`` — instrumented code guards on this."""
-    return _ACTIVE

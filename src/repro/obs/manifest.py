@@ -98,7 +98,7 @@ def build_manifest(
     params: Any,
     status: str,
     scheduler: str | None = None,
-    phases: Any = None,
+    phases: dict[str, float] | None = None,
     hub: Any = None,
     comm: Any = None,
     cache: Any = None,
@@ -140,7 +140,7 @@ def build_manifest(
             "auto_compression_threshold": params.auto_compression_threshold,
         },
         "wall_seconds": wall_seconds,
-        "phase_seconds": dict(phases.summary()) if phases is not None else {},
+        "phase_seconds": dict(sorted((phases or {}).items())),
         "error": (
             {"type": type(error).__name__, "message": str(error)}
             if error is not None

@@ -1,26 +1,24 @@
 """Unified metrics facade: typed counters, gauges, and histograms.
 
-One :class:`MetricsHub` per pipeline run collects everything the run
-measures about itself — ledger seconds per category (via the same hook
-protocol :class:`repro.trace.TraceRecorder` implements), phase timers,
-cache hit/miss counters, scheduler lane stats, and per-SUMMA-stage
-kernel dispatch records (measured compression factor + per-kernel
-seconds, the raw material for online adaptive dispatch).
+A :class:`MetricsHub` is the typed, labeled view of one run: ledger
+seconds per category, phase seconds, per-SUMMA-stage kernel records
+(measured compression factor + per-kernel seconds, the raw material for
+online adaptive dispatch), ``spgemm_auto`` routing decisions, plus the
+end-of-run cache, lane and memory gauges.
 
-Design constraints, in order:
+The hub records nothing while the run executes.  Every instrumented site
+emits into the run's one :class:`repro.trace.TraceRecorder` — ledger
+charges bump its cumulative ``ledger.<category>`` counters, SUMMA records
+``spgemm_kernel`` spans, ``spgemm_auto`` records ``spgemm_dispatch``
+spans, the pipeline records ``phase`` spans, and process-scheduler
+workers ship all of it home on the recorder's own block-header journal.
+:meth:`MetricsHub.from_trace` reduces that one event stream to the
+metric series at the end of the run (or when it dies), so spans and
+counters are recorded once, on one path.
 
-* **non-perturbing** — collection never touches the data path; every
-  instrument is a dict update under one lock.  Bit-identity with
-  metrics on is asserted per scheduler in ``tests/test_obs.py``.
-* **near-zero cost when off** — instrumented code guards on
-  ``current_metrics() is not None`` (one global read); no hub, no cost.
-* **process-safe** — forked discover workers record into a fresh
-  journaling hub whose events ride the block header home, where the
-  parent merges them in block order (the ``RecordingLedger`` pattern).
-
-This module depends only on the standard library so low-level code
-(``repro.sparse.kernels``, ``repro.distsparse.summa``) can import it
-without cycles.
+The hub is also a plain standalone store (the serving batcher keeps its
+own ``serve_*`` hub) and renders as a ``run.json`` snapshot or as
+Prometheus text.  This module depends only on the standard library.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import Any, Iterable, Mapping
 
 __all__ = [
     "MetricsHub",
-    "LedgerFanout",
     "prometheus_from_snapshot",
 ]
 
@@ -71,7 +68,7 @@ class _Hist:
 
 
 class MetricsHub:
-    """Process-safe store of labeled counters, gauges, and histograms.
+    """Thread-safe store of labeled counters, gauges, and histograms.
 
     The typed facade is :meth:`counter_add`, :meth:`gauge_set`, and
     :meth:`observe`; labels are passed as keyword arguments::
@@ -79,25 +76,64 @@ class MetricsHub:
         hub.counter_add("spgemm_dispatch", 1.0, kernel="gustavson")
         hub.observe("spgemm_kernel_seconds", dt, backend="auto", stage="2")
 
-    The hub also speaks the :class:`~repro.mpi.costmodel.CostLedger`
-    trace-hook protocol (:meth:`bump` / :meth:`set_value`), so it can be
-    attached to ``ledger.trace`` directly — ``ledger.<category>`` names
-    become a ``ledger_seconds`` counter labeled by category.
-
-    With ``journal=True`` every mutation is also appended to an event
-    list; :meth:`drain` hands the events to a transport (the process
-    scheduler's block header) and the receiving hub applies them with
-    :meth:`merge`.  Replaying events through ``merge`` is deterministic:
-    the parent admits blocks in block order, so merged metrics are
-    reproducible across worker counts.
+    A pipeline run's hub is built by :meth:`from_trace` from the run's
+    trace recorder.
     """
 
-    def __init__(self, journal: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelKey], float] = {}
         self._gauges: dict[tuple[str, LabelKey], float] = {}
         self._hists: dict[tuple[str, LabelKey], _Hist] = {}
-        self._journal: list[tuple] | None = [] if journal else None
+
+    @classmethod
+    def from_trace(cls, recorder: Any) -> "MetricsHub":
+        """Reduce a :class:`repro.trace.TraceRecorder` to metric series.
+
+        * ``ledger_seconds{category}`` — the recorder's cumulative
+          ``ledger.<category>`` counters (the same floats, added in the
+          same order, cache-replay restores included);
+        * ``spgemm_stage_invocations``/``spgemm_stage_flops{backend}`` and
+          the ``spgemm_kernel_seconds``/``spgemm_compression_factor
+          {backend, stage}`` histograms — one per ``spgemm_kernel`` span,
+          taken in recorder order (the span's duration is the kernel time);
+        * ``spgemm_dispatch{kernel}`` and
+          ``spgemm_predicted_compression_factor{kernel}`` — one per
+          completed ``spgemm_dispatch`` span (the histogram only when the
+          dispatch computed a prediction);
+        * ``phase_seconds{phase}`` — the summed ``phase`` spans.
+        """
+        hub = cls()
+        for name, value in recorder.cumulative().items():
+            if name.startswith("ledger."):
+                hub.counter_add("ledger_seconds", value, category=name[7:])
+        spans, _ = recorder.snapshot()
+        phases: dict[str, float] = {}
+        for span in spans:
+            attrs = span.attrs_dict()
+            if span.name == "spgemm_kernel":
+                backend, stage = attrs["backend"], attrs["stage"]
+                hub.counter_add("spgemm_stage_invocations", 1.0, backend=backend)
+                hub.counter_add("spgemm_stage_flops", attrs["flops"], backend=backend)
+                hub.observe(
+                    "spgemm_kernel_seconds", span.duration, backend=backend, stage=stage
+                )
+                hub.observe(
+                    "spgemm_compression_factor", attrs["cf"], backend=backend, stage=stage
+                )
+            elif span.name == "spgemm_dispatch" and "kernel" in attrs:
+                hub.counter_add("spgemm_dispatch", 1.0, kernel=attrs["kernel"])
+                if "predicted_cf" in attrs:
+                    hub.observe(
+                        "spgemm_predicted_compression_factor",
+                        attrs["predicted_cf"],
+                        kernel=attrs["kernel"],
+                    )
+            elif span.category == "phase":
+                phases[span.name] = phases.get(span.name, 0.0) + span.duration
+        for name, seconds in phases.items():
+            hub.gauge_set("phase_seconds", seconds, phase=name)
+        return hub
 
     # ---- typed facade ----------------------------------------------------
 
@@ -105,15 +141,11 @@ class MetricsHub:
         key = (name, _labels_key(labels))
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + float(value)
-            if self._journal is not None:
-                self._journal.append(("c", name, key[1], float(value)))
 
     def gauge_set(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _labels_key(labels))
         with self._lock:
             self._gauges[key] = float(value)
-            if self._journal is not None:
-                self._journal.append(("g", name, key[1], float(value)))
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = (name, _labels_key(labels))
@@ -122,87 +154,6 @@ class MetricsHub:
             if hist is None:
                 hist = self._hists[key] = _Hist()
             hist.observe(float(value))
-            if self._journal is not None:
-                self._journal.append(("h", name, key[1], float(value)))
-
-    # ---- domain recorders ------------------------------------------------
-
-    def record_spgemm_stage(
-        self,
-        backend: str,
-        stage: int | str,
-        seconds: float,
-        flops: float,
-        compression_factor: float,
-    ) -> None:
-        """One SUMMA-stage kernel invocation: measured CF + seconds."""
-        self.counter_add("spgemm_stage_invocations", 1.0, backend=backend)
-        self.counter_add("spgemm_stage_flops", float(flops), backend=backend)
-        self.observe(
-            "spgemm_kernel_seconds", seconds, backend=backend, stage=str(stage)
-        )
-        self.observe(
-            "spgemm_compression_factor",
-            compression_factor,
-            backend=backend,
-            stage=str(stage),
-        )
-
-    def record_dispatch(self, kernel: str, predicted_cf: float | None) -> None:
-        """One ``spgemm_auto`` routing decision."""
-        self.counter_add("spgemm_dispatch", 1.0, kernel=kernel)
-        if predicted_cf is not None:
-            self.observe(
-                "spgemm_predicted_compression_factor", predicted_cf, kernel=kernel
-            )
-
-    # ---- CostLedger trace-hook protocol ----------------------------------
-
-    def bump(self, name: str, delta: float) -> None:
-        if name.startswith("ledger."):
-            self.counter_add("ledger_seconds", delta, category=name[7:])
-        else:
-            self.counter_add(name, delta)
-
-    def set_value(self, name: str, value: float) -> None:
-        if name.startswith("ledger."):
-            # cache replay restores absolute per-category sums
-            key = ("ledger_seconds", _labels_key({"category": name[7:]}))
-            with self._lock:
-                self._counters[key] = float(value)
-                if self._journal is not None:
-                    self._journal.append(("cs", "ledger_seconds", key[1], float(value)))
-        else:
-            self.gauge_set(name, value)
-
-    # ---- worker journaling -----------------------------------------------
-
-    def drain(self) -> list[tuple]:
-        """Return and clear the journaled events (journaling hubs only)."""
-        with self._lock:
-            events = self._journal or []
-            if self._journal is not None:
-                self._journal = []
-            return events
-
-    def merge(self, events: Iterable[tuple]) -> None:
-        """Apply events drained from another hub, in order."""
-        with self._lock:
-            for kind, name, labels, value in events:
-                key = (name, tuple(tuple(pair) for pair in labels))
-                if kind == "c":
-                    self._counters[key] = self._counters.get(key, 0.0) + value
-                elif kind == "cs":
-                    self._counters[key] = value
-                elif kind == "g":
-                    self._gauges[key] = value
-                elif kind == "h":
-                    hist = self._hists.get(key)
-                    if hist is None:
-                        hist = self._hists[key] = _Hist()
-                    hist.observe(value)
-                if self._journal is not None:
-                    self._journal.append((kind, name, key[1], value))
 
     # ---- views -----------------------------------------------------------
 
@@ -245,21 +196,6 @@ class MetricsHub:
 
     def prometheus_text(self, prefix: str = "pastis_") -> str:
         return prometheus_from_snapshot(self.snapshot(), prefix=prefix)
-
-
-class LedgerFanout:
-    """Forward the ledger trace hook to several sinks (tracer + hub)."""
-
-    def __init__(self, *sinks: Any) -> None:
-        self.sinks = [sink for sink in sinks if sink is not None]
-
-    def bump(self, name: str, delta: float) -> None:
-        for sink in self.sinks:
-            sink.bump(name, delta)
-
-    def set_value(self, name: str, value: float) -> None:
-        for sink in self.sinks:
-            sink.set_value(name, value)
 
 
 # ---- Prometheus text exposition ------------------------------------------

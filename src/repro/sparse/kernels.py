@@ -74,7 +74,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs import current_metrics
+from ..trace import current_tracer, maybe_span
 from .coo import CooMatrix
 from .gustavson import spgemm_gustavson
 from .spgemm import SpGemmStats, spgemm
@@ -262,16 +262,18 @@ def spgemm_auto(
     threshold = (
         AUTO_COMPRESSION_THRESHOLD if compression_threshold is None else compression_threshold
     )
-    is_csr = hasattr(a, "indptr") or hasattr(b, "indptr")
-    predicted = None
-    if not is_csr and batch_flops is None:
-        predicted = predict_compression_factor(a, b)
-    use_gustavson = is_csr or batch_flops is not None or predicted >= threshold
-    hub = current_metrics()
-    if hub is not None:
-        # routing decisions feed the adaptive-dispatch trajectory: which
-        # kernel ran, and the predicted CF when one was computed
-        hub.record_dispatch("gustavson" if use_gustavson else "expand", predicted)
+    # the routing decision is one ``spgemm_dispatch`` span on the active
+    # recorder (the adaptive-dispatch trajectory: which kernel ran, and the
+    # predicted CF when one was computed)
+    tracer = current_tracer()
+    with maybe_span(tracer, "spgemm_dispatch", "spgemm", lane="discover") as span:
+        is_csr = hasattr(a, "indptr") or hasattr(b, "indptr")
+        predicted = None
+        if not is_csr and batch_flops is None:
+            predicted = predict_compression_factor(a, b)
+            span.set(predicted_cf=float(predicted))
+        use_gustavson = is_csr or batch_flops is not None or predicted >= threshold
+        span.set(kernel="gustavson" if use_gustavson else "expand")
     if use_gustavson:
         kwargs = {} if batch_flops is None else {"batch_flops": batch_flops}
         return spgemm_gustavson(a, b, semiring, return_stats=return_stats, **kwargs)

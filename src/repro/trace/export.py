@@ -83,12 +83,21 @@ def jsonl_lines(recorder: TraceRecorder) -> list[str]:
     return [json.dumps(meta)] + [json.dumps(r) for r in records]
 
 
-def write_jsonl(recorder: TraceRecorder, path: str | os.PathLike) -> Path:
-    """Write the canonical JSONL trace."""
+def _atomic_write(path: str | os.PathLike, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically: a failed overwrite (crash,
+    full disk) leaves the previous trace in a reused ``trace_dir`` intact."""
+    # imported here: repro.config imports the kernel registry, which
+    # imports this package
+    from ..config import atomic_write_text
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(jsonl_lines(recorder)) + "\n")
-    return path
+    return atomic_write_text(path, text)
+
+
+def write_jsonl(recorder: TraceRecorder, path: str | os.PathLike) -> Path:
+    """Write the canonical JSONL trace."""
+    return _atomic_write(path, "\n".join(jsonl_lines(recorder)) + "\n")
 
 
 def read_jsonl(path: str | os.PathLike) -> tuple[dict, list[dict], list[dict]]:
@@ -96,11 +105,14 @@ def read_jsonl(path: str | os.PathLike) -> tuple[dict, list[dict], list[dict]]:
     meta: dict = {}
     spans: list[dict] = []
     counters: list[dict] = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        record = json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed trace record ({exc})") from exc
         kind = record.get("type")
         if kind == "meta":
             meta = record
@@ -212,12 +224,9 @@ def chrome_from_jsonl(jsonl_path: str | os.PathLike, out_path: str | os.PathLike
 
 
 def _write_chrome_document(events: list[dict], path: str | os.PathLike) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
+    return _atomic_write(
+        path, json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
     )
-    return path
 
 
 def write_trace(recorder: TraceRecorder, trace_dir: str | os.PathLike) -> dict[str, str]:

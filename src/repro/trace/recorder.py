@@ -200,6 +200,11 @@ class TraceRecorder:
         with self._lock:
             self._cumulative[name] = float(value)
 
+    def cumulative(self) -> dict[str, float]:
+        """The cumulative counters' current values (a copy)."""
+        with self._lock:
+            return dict(self._cumulative)
+
     def sample_counters(self, **values: float) -> None:
         """Materialize counter samples: the given values plus every
         cumulative counter, all stamped with one timestamp.  Schedulers call

@@ -10,7 +10,7 @@ from repro.metrics.counters import RateCounters, format_rate, tcups
 from repro.metrics.efficiency import parallel_efficiency, speedup, weak_scaling_efficiency
 from repro.metrics.imbalance import imbalance_percent, imbalance_stats
 from repro.metrics.memory import MemoryTracker
-from repro.metrics.timers import Timer, TimerRegistry
+from repro.metrics.timers import Timer
 
 
 # ---------------------------------------------------------------- timers
@@ -24,18 +24,6 @@ def test_timer_accumulates():
     assert t.elapsed > first
     t.reset()
     assert t.elapsed == 0.0
-
-
-def test_timer_registry():
-    reg = TimerRegistry()
-    with reg.timer("align"):
-        pass
-    with reg.timer("io"):
-        pass
-    summary = reg.summary()
-    assert set(summary.keys()) == {"align", "io"}
-    assert reg.total() == pytest.approx(sum(summary.values()))
-    assert reg.elapsed("missing") == 0.0
 
 
 # ---------------------------------------------------------------- counters

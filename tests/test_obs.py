@@ -6,10 +6,11 @@ The observability contract under test has four legs:
   the same run without, per scheduler: records, edges, every
   deterministic ledger category and counter (the same contract
   ``tests/test_trace.py`` asserts for tracing).
-* **Fidelity** — the hub's ``ledger_seconds`` counters equal the
-  ledger's own per-category sums, SUMMA-stage kernel histograms are
-  journaled in the discover workers and merged parent-side, and
-  ``spgemm_auto`` dispatch decisions are counted.
+* **Fidelity** — the hub reduced from the run's trace recorder has
+  ``ledger_seconds`` counters equal to the ledger's own per-category
+  sums, SUMMA-stage kernel histograms (worker spans journaled home under
+  the process scheduler) that agree across schedulers, and counted
+  ``spgemm_auto`` dispatch decisions.
 * **Manifests** — every run, success *and* failure path (including a
   SIGKILLed worker), leaves a schema-versioned, loadable ``run.json``
   in the registry; a crashed run records its partial phase timers.
@@ -30,12 +31,7 @@ from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.core.stats import SearchStats
 from repro.io.report import run_report
-from repro.obs import (
-    LedgerFanout,
-    MetricsHub,
-    current_metrics,
-    prometheus_from_snapshot,
-)
+from repro.obs import MetricsHub, prometheus_from_snapshot
 from repro.obs.__main__ import main as obs_cli
 from repro.obs.manifest import (
     RUN_SCHEMA_VERSION,
@@ -45,6 +41,7 @@ from repro.obs.manifest import (
 )
 from repro.obs.regress import detect, doc_metrics, flatten_numeric, load_baseline_docs
 from repro.obs.registry import RunRegistry
+from repro.trace import TraceRecorder, current_tracer
 
 #: same bit-identity surface as tests/test_trace.py
 LEDGER_CATEGORIES = (
@@ -154,51 +151,62 @@ def test_hub_snapshot_is_sorted_and_jsonable():
     json.dumps(snapshot)  # must serialize as-is
 
 
-def test_hub_speaks_the_ledger_hook_protocol():
-    hub = MetricsHub()
-    hub.bump("ledger.align", 0.25)
-    hub.bump("ledger.align", 0.25)
-    hub.bump("live_blocks", 1.0)  # non-ledger bumps become plain counters
+def test_hub_from_trace_reduces_the_event_stream():
+    """The reducer over a hand-built recorder: ledger counters (with a
+    cache-replay restore), kernel spans in recorder order, dispatch spans
+    with and without a prediction, summed phase spans."""
+    rec = TraceRecorder()
+    rec.bump("ledger.align", 0.25)
+    rec.bump("ledger.align", 0.25)
+    rec.bump("ledger.io", 1.5)
+    rec.set_value("ledger.io", 9.0)  # cache replay restores absolute sums
+    rec.set_value("shm_total_bytes", 1024.0)  # non-ledger counters stay trace-only
+    rec.add_span("spgemm_kernel", "spgemm", 1.0, 1.01, backend="gustavson",
+                 stage=0, flops=100.0, cf=4.0)
+    rec.add_span("spgemm_kernel", "spgemm", 2.0, 2.03, backend="gustavson",
+                 stage=0, flops=300.0, cf=2.0)
+    rec.add_span("spgemm_kernel", "spgemm", 3.0, 3.5, backend="gustavson",
+                 stage="merge", flops=50.0, cf=1.0)
+    rec.add_span("spgemm_dispatch", "spgemm", 0.0, 0.1, kernel="expand",
+                 predicted_cf=1.5)
+    rec.add_span("spgemm_dispatch", "spgemm", 0.0, 0.1, kernel="gustavson")
+    rec.add_span("spgemm_dispatch", "spgemm", 0.0, 0.1, error="ValueError")
+    rec.add_span("input_io", "phase", 0.0, 0.5)
+    rec.add_span("cluster", "phase", 1.0, 1.25)
+    rec.add_span("cluster", "phase", 2.0, 2.5)
+    rec.add_span("discover", "stage", 0.0, 9.0)  # not a metric source
+    hub = MetricsHub.from_trace(rec)
+
     assert hub.value("ledger_seconds", category="align") == 0.5
-    assert hub.value("live_blocks") == 1.0
-    # cache replay restores absolute sums: set_value overwrites the counter
-    hub.set_value("ledger.align", 9.0)
-    assert hub.value("ledger_seconds", category="align") == 9.0
-    hub.set_value("shm_total_bytes", 1024.0)  # non-ledger sets are gauges
-    assert hub.value("shm_total_bytes") == 1024.0
-
-
-def test_hub_drain_and_merge_replay_events_in_order():
-    worker = MetricsHub(journal=True)
-    worker.counter_add("c", 1.0, k="v")
-    worker.observe("h", 0.5)
-    worker.bump("ledger.align", 0.1)
-    worker.set_value("ledger.align", 2.0)  # "cs": absolute, must win on merge
-    events = worker.drain()
-    assert worker.drain() == []  # drained
-    parent = MetricsHub()
-    parent.counter_add("c", 1.0, k="v")  # merge adds onto existing series
-    parent.merge(events)
-    assert parent.value("c", k="v") == 2.0
-    assert parent.histogram("h")["count"] == 1.0
-    assert parent.value("ledger_seconds", category="align") == 2.0
-    # merging into a journaling hub re-journals (relay through a middle hop)
-    relay = MetricsHub(journal=True)
-    relay.merge(events)
-    parent2 = MetricsHub()
-    parent2.merge(relay.drain())
-    assert parent2.value("c", k="v") == 1.0
-    assert parent2.value("ledger_seconds", category="align") == 2.0
-
-
-def test_ledger_fanout_forwards_to_all_sinks():
-    a, b = MetricsHub(), MetricsHub()
-    fanout = LedgerFanout(a, None, b)
-    fanout.bump("ledger.io", 1.5)
-    fanout.set_value("x", 3.0)
-    for hub in (a, b):
-        assert hub.value("ledger_seconds", category="io") == 1.5
-        assert hub.value("x") == 3.0
+    assert hub.value("ledger_seconds", category="io") == 9.0
+    assert hub.value("shm_total_bytes", default=-1.0) == -1.0
+    assert hub.value("spgemm_stage_invocations", backend="gustavson") == 3.0
+    assert hub.value("spgemm_stage_flops", backend="gustavson") == 450.0
+    kernel = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="0")
+    assert kernel["count"] == 2.0
+    assert kernel["sum"] == (1.01 - 1.0) + (2.03 - 2.0)  # span durations, in order
+    cf = hub.histogram("spgemm_compression_factor", backend="gustavson", stage="0")
+    assert (cf["min"], cf["max"]) == (2.0, 4.0)
+    merged = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="merge")
+    assert merged["count"] == 1.0
+    assert hub.value("spgemm_dispatch", kernel="expand") == 1.0
+    assert hub.value("spgemm_dispatch", kernel="gustavson") == 1.0
+    predicted = hub.histogram("spgemm_predicted_compression_factor", kernel="expand")
+    assert predicted["count"] == 1.0 and predicted["sum"] == 1.5
+    # no prediction → no histogram; an interrupted dispatch is not counted
+    assert hub.histogram(
+        "spgemm_predicted_compression_factor", kernel="gustavson"
+    ) is None
+    assert [c["name"] for c in hub.snapshot()["counters"]].count("spgemm_dispatch") == 2
+    assert hub.value("phase_seconds", phase="input_io") == 0.5
+    assert hub.value("phase_seconds", phase="cluster") == 0.75
+    assert hub.snapshot()["gauges"] == [
+        {"name": "phase_seconds", "labels": {"phase": "cluster"}, "value": 0.75},
+        {"name": "phase_seconds", "labels": {"phase": "input_io"}, "value": 0.5},
+    ]
+    # an empty recorder reduces to an empty hub
+    empty = MetricsHub.from_trace(TraceRecorder()).snapshot()
+    assert empty == {"counters": [], "gauges": [], "histograms": []}
 
 
 def test_prometheus_text_exposition():
@@ -220,29 +228,8 @@ def test_prometheus_text_exposition():
     assert extra.rstrip().endswith("custom 1")
 
 
-def test_active_hub_defaults_to_none():
-    assert current_metrics() is None
-
-
-def test_record_spgemm_stage_and_dispatch():
-    hub = MetricsHub()
-    hub.record_spgemm_stage("gustavson", 0, 0.01, 100.0, 4.0)
-    hub.record_spgemm_stage("gustavson", 0, 0.03, 300.0, 2.0)
-    hub.record_dispatch("expand", 1.5)
-    hub.record_dispatch("gustavson", None)  # no prediction → no histogram
-    assert hub.value("spgemm_stage_invocations", backend="gustavson") == 2.0
-    assert hub.value("spgemm_stage_flops", backend="gustavson") == 400.0
-    kernel = hub.histogram("spgemm_kernel_seconds", backend="gustavson", stage="0")
-    assert kernel["count"] == 2.0 and kernel["max"] == 0.03
-    cf = hub.histogram("spgemm_compression_factor", backend="gustavson", stage="0")
-    assert cf["min"] == 2.0 and cf["max"] == 4.0
-    assert hub.value("spgemm_dispatch", kernel="expand") == 1.0
-    assert hub.value("spgemm_dispatch", kernel="gustavson") == 1.0
-    predicted = hub.histogram("spgemm_predicted_compression_factor", kernel="expand")
-    assert predicted["count"] == 1.0
-    assert hub.histogram(
-        "spgemm_predicted_compression_factor", kernel="gustavson"
-    ) is None
+def test_no_active_recorder_outside_a_run():
+    assert current_tracer() is None
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +245,7 @@ def test_metrics_are_non_perturbing_per_scheduler(tiny_seqs, fast_params, overri
     hub = observed.metrics
     assert hub is not None
     assert_observed_identical(plain, observed)
-    assert current_metrics() is None  # teardown deactivated the hub
+    assert current_tracer() is None  # teardown deactivated the recorder
 
     # ledger fidelity: the hub's counters equal the ledger's own sums
     for category in ("align", "spgemm", "comm", "io"):
@@ -276,6 +263,51 @@ def test_metrics_are_non_perturbing_per_scheduler(tiny_seqs, fast_params, overri
         lanes = observed.stats.extras["process_lanes"]
         for pid in lanes:
             assert hub.value("process_lane_blocks", default=-1.0, pid=pid) >= 0.0
+
+
+def test_metrics_non_timing_series_agree_across_schedulers(tiny_seqs, fast_params):
+    """The reduced hub's non-timing series are the same under every
+    scheduler.  Under the process scheduler every SUMMA kernel runs in a
+    worker, so its kernel series only exist because the workers' spans came
+    home through the block-header span journal."""
+    hubs = {
+        param.id: _run(tiny_seqs, fast_params, metrics=True, **param.values[0]).metrics
+        for param in SCHEDULER_OVERRIDES
+    }
+
+    def series(hub, *names):
+        snapshot = hub.snapshot()
+        return [
+            (row["name"], row["labels"], row["value"])
+            for row in snapshot["counters"]
+            if row["name"] in names
+        ]
+
+    serial = hubs["serial"]
+    stage_series = series(serial, "spgemm_stage_invocations", "spgemm_stage_flops")
+    assert stage_series and all(value > 0 for *_, value in stage_series)
+    hist_counts = {
+        (row["name"], tuple(sorted(row["labels"].items()))): row["count"]
+        for row in serial.snapshot()["histograms"]
+    }
+    assert hist_counts
+    for name, hub in hubs.items():
+        assert series(hub, "spgemm_stage_invocations", "spgemm_stage_flops") == (
+            stage_series
+        ), name
+        assert {
+            (row["name"], tuple(sorted(row["labels"].items()))): row["count"]
+            for row in hub.snapshot()["histograms"]
+        } == hist_counts, name
+        # overlapped inflates align/spgemm by its contention multipliers;
+        # the other modeled categories are charged identically everywhere
+        modeled = ("comm", "cwait", "sparse_other", "io")
+        if name != "overlapped":
+            modeled += ("align", "spgemm")
+        for category in modeled:
+            assert hub.value("ledger_seconds", category=category) == serial.value(
+                "ledger_seconds", category=category
+            ), (name, category)
 
 
 def test_tracing_and_metrics_fan_out_the_ledger_hook(tiny_seqs, fast_params):
@@ -415,7 +447,7 @@ def test_failed_run_records_partial_phase_timers(
     assert "output_io" not in phases
     assert manifest["config"]["scheduler"] == "serial"
     assert "ledger" in manifest  # the communicator existed at death
-    assert current_metrics() is None  # teardown deactivated the hub
+    assert current_tracer() is None  # teardown deactivated the recorder
 
 
 def test_sigkilled_process_run_leaves_valid_manifest(
@@ -467,7 +499,7 @@ def test_sigkilled_process_run_leaves_valid_manifest(
     assert manifest["error"]["type"] == "RuntimeError"
     assert "kmer_matrix" in manifest["phase_seconds"]
     assert manifest["config"]["scheduler"] == "process"
-    assert current_metrics() is None
+    assert current_tracer() is None
 
 
 # ---------------------------------------------------------------------------

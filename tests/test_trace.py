@@ -34,6 +34,7 @@ from repro.trace import (
     current_tracer,
     maybe_span,
     read_jsonl,
+    write_trace,
 )
 from repro.trace.__main__ import main as trace_cli
 from repro.trace.recorder import NULL_SPAN
@@ -467,6 +468,44 @@ def test_cli_diff(traced_dirs, capsys):
     assert trace_cli(["diff", str(dir_a), str(dir_b)]) == 0
     out = capsys.readouterr().out
     assert "delta" in out and "discover" in out
+
+
+def _recorder_with(name: str) -> TraceRecorder:
+    rec = TraceRecorder()
+    rec.add_span(name, "stage", rec.epoch, rec.epoch + 1.0)
+    return rec
+
+
+def test_failed_trace_overwrite_keeps_previous_trace(tmp_path, monkeypatch):
+    """Both documents are written atomically: an overwrite that dies
+    before its rename leaves the previous trace readable, with no litter."""
+    import os
+
+    write_trace(_recorder_with("first"), tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert before == [CHROME_NAME, JSONL_NAME]
+
+    def failing_replace(src, dst):
+        raise OSError("simulated full disk")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated full disk"):
+        write_trace(_recorder_with("second"), tmp_path)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    _, spans, _ = read_jsonl(tmp_path / JSONL_NAME)
+    assert [s["name"] for s in spans] == ["first"]
+    assert json.loads((tmp_path / CHROME_NAME).read_text())["traceEvents"]
+
+
+def test_truncated_jsonl_names_file_and_line(tmp_path):
+    write_trace(_recorder_with("only"), tmp_path)
+    path = tmp_path / JSONL_NAME
+    text = path.read_text()
+    path.write_text(text[: len(text) - 10])  # cut the last record short
+    with pytest.raises(ValueError, match=rf"{JSONL_NAME}:2: malformed trace record"):
+        read_jsonl(path)
 
 
 # ---------------------------------------------------------------------------
