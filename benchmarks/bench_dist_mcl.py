@@ -51,7 +51,7 @@ WORKLOAD = dict(
 )
 
 BACKENDS = tuple(
-    k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()
+    k for k in ("expand", "gustavson", "scipy") if k in available_kernels()
 )
 GRID_SIZES = (1, 4, 9)
 PROJECTION_NODES = [1, 4, 16, 64, 256]

@@ -48,7 +48,7 @@ WORKLOAD = dict(
 
 #: Backends sweeping the expansion ("scipy" participates when registered).
 BACKENDS = tuple(
-    k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()
+    k for k in ("expand", "gustavson", "scipy") if k in available_kernels()
 )
 
 

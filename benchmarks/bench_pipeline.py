@@ -23,7 +23,7 @@ from _results import save_results
 #: hide.  (At toy scale the *total* is dominated by IO/communication, so the
 #: benchmark asserts the overlap gain on the discovery/alignment phase —
 #: ``combined_pre < sum`` — and reports the total ratio informationally,
-#: like ``bench_table1_preblocking``; see EXPERIMENTS.md.)
+#: like ``bench_table1_preblocking``.)
 WORKLOAD = dict(
     n_sequences=120,
     family_fraction=0.75,

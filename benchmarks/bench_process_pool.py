@@ -10,8 +10,8 @@ survives pure-Python stage orchestration at the cost of fork + shm-mapping
 overhead per block.
 
 The sweep crosses scheduler {threaded, process} x local SpGEMM kernel
-({gustavson} plus ``gustavson-numba`` when the optional numba extra is
-installed — ``pip install .[fast]``), all at speculative depth 2 under
+(the registry default ``expand``, ``gustavson``, plus ``gustavson-numba``
+when the optional numba extra is installed — ``pip install .[fast]``), all at speculative depth 2 under
 ``clock="measured"`` (one discover thread; ``depth`` worker processes).
 Every configuration is asserted bit-identical to the serial baseline —
 scheduler and kernel may move wall time, never results.
@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.params import PastisParams
 from repro.core.pipeline import PastisPipeline
 from repro.sequences.synthetic import SyntheticDatasetConfig, synthetic_dataset
-from repro.sparse.kernels import available_kernels
+from repro.sparse.kernels import DEFAULT_KERNEL, available_kernels
 
 from _results import save_results
 
@@ -59,8 +59,9 @@ DEPTH = 2
 
 
 def _kernels() -> tuple[str, ...]:
-    """Pure-NumPy gustavson always; the compiled backend when registered."""
-    kernels = ["gustavson"]
+    """The default and pure-NumPy gustavson always; the compiled backend
+    when registered."""
+    kernels = [DEFAULT_KERNEL, "gustavson"]
     if "gustavson-numba" in available_kernels():
         kernels.append("gustavson-numba")
     return tuple(kernels)

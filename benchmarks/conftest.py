@@ -1,15 +1,13 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md's experiment index).  Each prints a paper-style table to
-stdout (run with ``pytest benchmarks/ --benchmark-only -s`` to see them) and
-writes the underlying series to ``benchmarks/results/*.json`` so
-EXPERIMENTS.md can reference the numbers.
+Every benchmark regenerates one table or figure of the paper's evaluation.
+Each prints a paper-style table to stdout (run with
+``pytest benchmarks/ --benchmark-only -s`` to see them) and writes the
+underlying series to ``benchmarks/results/*.json``.
 
 Datasets are small synthetic surrogates; the quantities compared against the
 paper are *shapes* (who wins, by what factor, how trends move with the number
-of blocks / nodes), not absolute seconds — see EXPERIMENTS.md for the
-paper-vs-measured discussion.
+of blocks / nodes), not absolute seconds.
 """
 
 from __future__ import annotations

@@ -101,7 +101,7 @@ def main() -> None:
     # kernel histograms live in the *cold* run's hub — the warm run replayed
     # every block from the cache, so no SpGEMM kernel ever executed
     kernel = baseline.metrics.histogram("spgemm_kernel_seconds",
-                                        backend="gustavson", stage="0")
+                                        backend=params.spgemm_backend, stage="0")
     if kernel is not None:
         print(f"  stage-0 kernel seconds    {kernel['count']:.0f} obs, "
               f"sum {kernel['sum']:.6f} (cold run; reduced from the "

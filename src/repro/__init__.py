@@ -33,7 +33,6 @@ True
 """
 
 from .version import __version__, PAPER
-from .config import DEFAULTS, ReproConfig
 from .sequences import SequenceSet, synthetic_dataset, read_fasta, write_fasta
 from .core import PastisParams, PastisPipeline, SearchResult, SimilarityGraph  # noqa: E402
 from .graph import ClusterParams, ClusteringResult, cluster_similarity_graph  # noqa: E402
@@ -41,8 +40,6 @@ from .graph import ClusterParams, ClusteringResult, cluster_similarity_graph  # 
 __all__ = [
     "__version__",
     "PAPER",
-    "DEFAULTS",
-    "ReproConfig",
     "SequenceSet",
     "synthetic_dataset",
     "read_fasta",

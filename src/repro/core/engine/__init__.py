@@ -115,8 +115,7 @@ onto one of the mechanisms above —
 * ``summa`` spans (``summa_stage``/``summa_merge``) — the broadcast
   stages inside one discover's 2D SUMMA;
 * ``spgemm`` spans — ``spgemm_kernel`` is one rank's local multiply
-  (backend, stage, flops, measured compression factor) and
-  ``spgemm_dispatch`` one ``auto``-kernel routing decision;
+  (backend, stage, flops, measured compression factor);
 * ``transport``/``replay`` spans (``shm_ship``/``ledger_replay``) — the
   process executor's shared-memory shipping and the parent's block-ordered
   journal replay;

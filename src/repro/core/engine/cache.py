@@ -18,10 +18,10 @@ content-hash key and the completed block is persisted under it:
 
 A :class:`StageCache` stores one ``.npz`` file per completed block in a
 per-run directory, written atomically (temp file + rename via
-:func:`repro.config.atomic_write_bytes`, the same hardened helper the
-calibration writer uses), so a SIGKILL mid-run loses at most the in-flight
-block.  Unreadable or truncated entries are treated as misses, never as
-errors.
+:func:`repro.config.atomic_write_bytes`, the same hardened helper the run
+registry and the trace writers use), so a SIGKILL mid-run loses at most
+the in-flight block.  Unreadable or truncated entries are treated as
+misses, never as errors.
 
 **The cache invariant: a hit is bit-identical to recomputation.**  An entry
 records everything a block's execution produced *and* every externally
@@ -146,7 +146,6 @@ def params_cache_token(params: PastisParams) -> dict:
         "alignment_mode": params.alignment_mode,
         "spgemm_backend": params.spgemm_backend,
         "batch_flops": params.batch_flops,
-        "auto_compression_threshold": params.auto_compression_threshold,
         "substitution_matrix": _digest_matrix(params.scoring.matrix),
     }
 

@@ -259,12 +259,25 @@ def _sweep_segments(token: str, num_blocks: int) -> None:
 
     Runs after the pool has been joined, so no worker can re-create a
     segment behind the sweep; segments never created (or already consumed
-    and unlinked) are simply absent.
+    and unlinked) are simply absent.  A worker stopped inside
+    ``SharedMemory(create=True)`` between ``shm_open`` and ``ftruncate``
+    leaves a zero-byte segment that cannot be mapped (``mmap`` raises
+    ``ValueError``) and was never registered with the resource tracker, so
+    it is unlinked by name instead of attached.
     """
     for index in range(num_blocks):
+        name = _segment_name(token, index)
         try:
-            shm = shared_memory.SharedMemory(name=_segment_name(token, index))
+            shm = shared_memory.SharedMemory(name=name)
         except FileNotFoundError:
+            continue
+        except ValueError:
+            import _posixshmem  # POSIX-only, like the fork start method
+
+            try:
+                _posixshmem.shm_unlink("/" + name)
+            except FileNotFoundError:
+                pass
             continue
         try:
             shm.unlink()

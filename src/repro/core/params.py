@@ -11,12 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..align.substitution import BLOSUM62, ScoringScheme
-from ..config import DEFAULTS
 from ..graph.api import ClusterParams
 from ..sequences.alphabet import Alphabet, MURPHY10, PROTEIN
 from ..sparse.kernels import (
+    DEFAULT_KERNEL,
     available_kernels,
     get_kernel,
+    kernel_supports_batch_flops,
     kernel_supports_semiring,
 )
 from ..sparse.semiring import OverlapSemiring
@@ -103,28 +104,20 @@ class PastisParams:
         ``"seed_extend"`` (x-drop, cheaper, less sensitive).
     spgemm_backend:
         Local SpGEMM kernel used inside every SUMMA stage, by registry name
-        (see :mod:`repro.sparse.kernels`): ``"expand"`` (sort–expand–reduce,
-        fastest at low compression factors), ``"gustavson"`` (row-wise with
-        bounded intermediate memory, preferred when the compression factor
-        is high), or ``"auto"`` (pick per SUMMA stage from the predicted
-        compression factor).  Results are bit-identical in every case.  The
-        default comes from :data:`repro.config.DEFAULTS` — ``"gustavson"``
-        for the pipeline's overlap semiring, the memory-safe choice at the
-        high compression factors of ``A·Aᵀ``.
+        (see :mod:`repro.sparse.kernels`).  Results are bit-identical with
+        every backend.  Defaults to the registry default
+        :data:`repro.sparse.kernels.DEFAULT_KERNEL` (``"expand"``): the
+        ``A·Aᵀ`` inner dimension is the hypersparse ``|alphabet|^k`` k-mer
+        space, and ``"expand"`` allocates nothing sized by it, where
+        ``"gustavson"`` builds a CSR ``indptr`` of ``|alphabet|^k + 1``
+        entries per local multiply (512 MB at k = 6).  On a 2-CPU host the
+        20 local multiplies of one ``perfbench`` ``avsa_k6`` search take
+        5.3–5.9 s with ``"gustavson"`` and 0.08 s with ``"expand"``.
     batch_flops:
-        Flop budget per row group of the ``"gustavson"`` backend (and of
-        ``"auto"`` when it picks it); bounds the kernel's peak intermediate
-        memory for memory-constrained runs.  ``None`` uses the kernel's
-        default; backends without batching reject an explicit value.
-    auto_compression_threshold:
-        Predicted-compression-factor crossover at which the ``"auto"``
-        backend routes to Gustavson instead of expand.  Promoted from the
-        former module constant so the crossover can be calibrated per run;
-        defaults to :data:`repro.config.DEFAULTS`'s value, which is the
-        registry constant :data:`repro.sparse.kernels.AUTO_COMPRESSION_THRESHOLD`
-        unless a measured calibration has been written back by
-        ``benchmarks/bench_auto_threshold.py --write-default`` (see
-        :func:`repro.config.write_calibration`).  Fixed backends ignore it.
+        Flop budget per row group of a batching backend (``"gustavson"``);
+        bounds the kernel's peak intermediate memory for memory-constrained
+        runs.  ``None`` uses the kernel's default; a budget paired with a
+        backend that cannot batch is rejected.
     cluster:
         Post-search clustering stage configuration
         (:class:`repro.graph.api.ClusterParams`); disabled by default, in
@@ -136,8 +129,8 @@ class PastisParams:
         with the same inputs/parameters replay stored blocks instead of
         recomputing them — bit-identically, across all four schedulers —
         which is also what makes ``PastisPipeline.run(resume=True)`` pick a
-        killed run up from its last completed block.  ``None`` (the default,
-        seeded from :data:`repro.config.DEFAULTS`) disables caching.
+        killed run up from its last completed block.  ``None`` (the
+        default) disables caching.
     cache_invalidate:
         Ignore existing cache entries and overwrite them with freshly
         computed blocks (a forced re-population, e.g. after changing
@@ -227,11 +220,10 @@ class PastisParams:
     use_threads: bool = False
     clock: str = "modeled"
     alignment_mode: str = "full_sw"
-    spgemm_backend: str = DEFAULTS.spgemm_backend
+    spgemm_backend: str = DEFAULT_KERNEL
     batch_flops: int | None = None
-    auto_compression_threshold: float = DEFAULTS.auto_compression_threshold
     cluster: ClusterParams = field(default_factory=ClusterParams)
-    cache_dir: str | None = DEFAULTS.cache_dir
+    cache_dir: str | None = None
     cache_invalidate: bool = False
     trace: bool = False
     trace_dir: str | None = None
@@ -269,8 +261,14 @@ class PastisParams:
                 "pipeline's overlap semiring (it is registered for the plain "
                 "arithmetic semiring only, e.g. for repro.graph clustering)"
             )
-        if self.batch_flops is not None and self.batch_flops < 1:
-            raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
+        if self.batch_flops is not None:
+            if self.batch_flops < 1:
+                raise ValueError("batch_flops must be >= 1 (or None for the kernel default)")
+            if not kernel_supports_batch_flops(get_kernel(self.spgemm_backend)):
+                raise ValueError(
+                    f"spgemm_backend {self.spgemm_backend!r} does not support "
+                    "batch_flops; use 'gustavson' for a flop-budgeted multiply"
+                )
         if self.preblock_depth < 1:
             raise ValueError("preblock_depth must be >= 1")
         if self.scheduler not in (None, "serial", "overlapped", "threaded", "process"):
@@ -278,8 +276,6 @@ class PastisParams:
                 "scheduler must be None, 'serial', 'overlapped', 'threaded' or "
                 f"'process', got {self.scheduler!r}"
             )
-        if self.auto_compression_threshold <= 0:
-            raise ValueError("auto_compression_threshold must be positive")
         if self.cache_dir is not None and not str(self.cache_dir).strip():
             raise ValueError("cache_dir must be a non-empty path (or None)")
         if self.cache_invalidate and self.cache_dir is None:

@@ -162,9 +162,8 @@ class PastisPipeline:
         # the failure path reports from whatever state the run built before
         # dying; _run_impl fills this in as the pieces come up
         state = _RunState()
-        # deep sites without a StageContext (the SUMMA stage loop, the
-        # spgemm_auto dispatch, MCL iterations) reach the recorder through
-        # the active-tracer global
+        # deep sites without a StageContext (the SUMMA stage loop, MCL
+        # iterations) reach the recorder through the active-tracer global
         activate(recorder)
         try:
             return self._run_impl(sequences, resume, recorder, phase_seconds, state)
@@ -307,7 +306,6 @@ class PastisPipeline:
             compute_category="spgemm_measured",
             spgemm_backend=params.spgemm_backend,
             batch_flops=params.batch_flops,
-            auto_compression_threshold=params.auto_compression_threshold,
         )
         aligner = AlignmentPhase(align_sequences, params, comm, cost_model)
         accumulator = StreamingGraphAccumulator(n_vertices=n_vertices)

@@ -149,8 +149,8 @@ class ClusterParams:
             ):
                 raise ValueError(
                     f"spgemm_backend {self.spgemm_backend!r} does not support "
-                    "batch_flops; use 'gustavson' or 'auto' (or leave the "
-                    "backend unset) for flop-budgeted expansion"
+                    "batch_flops; use 'gustavson' (or leave the backend "
+                    "unset) for flop-budgeted expansion"
                 )
         if not is_perfect_square(self.nprocs):
             raise ValueError(

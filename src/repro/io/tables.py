@@ -37,7 +37,7 @@ def format_markdown_table(
     rows: Sequence[Sequence[Any]],
     precision: int = 3,
 ) -> str:
-    """Render a GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
+    """Render a GitHub-flavoured markdown table."""
     rendered = [[_render_cell(v, precision) for v in row] for row in rows]
     lines = [
         "| " + " | ".join(headers) + " |",

@@ -137,7 +137,6 @@ def build_manifest(
             "preblock_depth": params.preblock_depth,
             "spgemm_backend": str(params.spgemm_backend),
             "batch_flops": params.batch_flops,
-            "auto_compression_threshold": params.auto_compression_threshold,
         },
         "wall_seconds": wall_seconds,
         "phase_seconds": dict(sorted((phases or {}).items())),

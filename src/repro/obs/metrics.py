@@ -2,16 +2,15 @@
 
 A :class:`MetricsHub` is the typed, labeled view of one run: ledger
 seconds per category, phase seconds, per-SUMMA-stage kernel records
-(measured compression factor + per-kernel seconds, the raw material for
-online adaptive dispatch), ``spgemm_auto`` routing decisions, plus the
-end-of-run cache, lane and memory gauges.
+(measured compression factor + per-kernel seconds), plus the end-of-run
+cache, lane and memory gauges.
 
 The hub records nothing while the run executes.  Every instrumented site
 emits into the run's one :class:`repro.trace.TraceRecorder` — ledger
 charges bump its cumulative ``ledger.<category>`` counters, SUMMA records
-``spgemm_kernel`` spans, ``spgemm_auto`` records ``spgemm_dispatch``
-spans, the pipeline records ``phase`` spans, and process-scheduler
-workers ship all of it home on the recorder's own block-header journal.
+``spgemm_kernel`` spans, the pipeline records ``phase`` spans, and
+process-scheduler workers ship all of it home on the recorder's own
+block-header journal.
 :meth:`MetricsHub.from_trace` reduces that one event stream to the
 metric series at the end of the run (or when it dies), so spans and
 counters are recorded once, on one path.
@@ -73,8 +72,8 @@ class MetricsHub:
     The typed facade is :meth:`counter_add`, :meth:`gauge_set`, and
     :meth:`observe`; labels are passed as keyword arguments::
 
-        hub.counter_add("spgemm_dispatch", 1.0, kernel="gustavson")
-        hub.observe("spgemm_kernel_seconds", dt, backend="auto", stage="2")
+        hub.counter_add("spgemm_stage_invocations", 1.0, backend="expand")
+        hub.observe("spgemm_kernel_seconds", dt, backend="expand", stage="2")
 
     A pipeline run's hub is built by :meth:`from_trace` from the run's
     trace recorder.
@@ -97,10 +96,6 @@ class MetricsHub:
           the ``spgemm_kernel_seconds``/``spgemm_compression_factor
           {backend, stage}`` histograms — one per ``spgemm_kernel`` span,
           taken in recorder order (the span's duration is the kernel time);
-        * ``spgemm_dispatch{kernel}`` and
-          ``spgemm_predicted_compression_factor{kernel}`` — one per
-          completed ``spgemm_dispatch`` span (the histogram only when the
-          dispatch computed a prediction);
         * ``phase_seconds{phase}`` — the summed ``phase`` spans.
         """
         hub = cls()
@@ -121,14 +116,6 @@ class MetricsHub:
                 hub.observe(
                     "spgemm_compression_factor", attrs["cf"], backend=backend, stage=stage
                 )
-            elif span.name == "spgemm_dispatch" and "kernel" in attrs:
-                hub.counter_add("spgemm_dispatch", 1.0, kernel=attrs["kernel"])
-                if "predicted_cf" in attrs:
-                    hub.observe(
-                        "spgemm_predicted_compression_factor",
-                        attrs["predicted_cf"],
-                        kernel=attrs["kernel"],
-                    )
             elif span.category == "phase":
                 phases[span.name] = phases.get(span.name, 0.0) + span.duration
         for name, seconds in phases.items():

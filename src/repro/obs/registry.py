@@ -50,7 +50,15 @@ class RunRegistry:
 
     def load(self, run_id: str) -> dict[str, Any]:
         path = self.runs_dir / f"{run_id}.json"
-        manifest = json.loads(path.read_text())
+        try:
+            manifest = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed run manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise ValueError(
+                f"{path}: malformed run manifest: expected a JSON object, "
+                f"got {type(manifest).__name__}"
+            )
         schema = manifest.get("schema")
         if not isinstance(schema, int) or schema > RUN_SCHEMA_VERSION:
             raise ValueError(

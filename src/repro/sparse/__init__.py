@@ -31,22 +31,22 @@ Contents
 
 Choosing a backend
 ------------------
-Both kernels return bit-identical outputs and flop/nnz statistics (the
+All kernels return bit-identical outputs and flop/nnz statistics (the
 randomized harness in ``tests/test_spgemm_equivalence.py`` asserts this), so
-the choice is purely about resources.  The deciding quantity is the
-*compression factor* ``flops / output nnz`` (§V-B of the paper): the
-``"expand"`` kernel materializes every partial product at once, so its peak
-memory grows with flops; the ``"gustavson"`` kernel forms the output in
-flop-bounded row groups, so its peak memory stays near the output size.
-With a high compression factor (popular k-mers, dense overlap structure)
-prefer ``"gustavson"``; at low compression ``"expand"``'s single vectorized
-pass is the faster choice; ``"auto"`` makes that call per invocation from
-:func:`~repro.sparse.kernels.predict_compression_factor`.  End to end, the
-backend is picked with ``PastisParams(spgemm_backend=...)`` (default
-``"gustavson"``, the memory-safe choice for the overlap semiring), which
-the pipeline routes through
+the choice is purely about resources.  ``"expand"`` is the default
+everywhere, the pipeline's ``A·Aᵀ`` overlap multiply included
+(``PastisParams(spgemm_backend=...)``, routed through
 :class:`repro.distsparse.blocked_summa.BlockedSpGemm` into every SUMMA
-stage; ``benchmarks/bench_kernels.py`` reports a head-to-head.
+stage).  That multiply's inner dimension is the ``|alphabet|^k`` k-mer space,
+which is hypersparse; ``"expand"`` never allocates anything sized by it,
+while ``"gustavson"`` builds a CSR ``indptr`` of ``|alphabet|^k + 1``
+entries per local multiply (512 MB at k = 6).  On a 2-CPU host the 20
+local multiplies of one ``perfbench`` ``avsa_k6`` search (k = 6) take
+0.08 s with ``"expand"`` and 5.3–5.9 s with ``"gustavson"``, with
+identical output.  ``"gustavson"`` stays the backend to pick with a
+``batch_flops`` budget, the only way to bound partial-product memory at
+very high compression factors; ``benchmarks/bench_kernels.py`` reports a
+head-to-head.
 """
 
 from .semiring import (
@@ -64,16 +64,12 @@ from .dcsc import DcscMatrix
 from .spgemm import spgemm, SpGemmStats
 from .gustavson import spgemm_gustavson
 from .kernels import (
-    AUTO_COMPRESSION_THRESHOLD,
     DEFAULT_KERNEL,
-    DEFAULT_OVERLAP_KERNEL,
     available_kernels,
     get_kernel,
     kernel_supports_batch_flops,
-    predict_compression_factor,
     register_kernel,
     resolve_kernel,
-    spgemm_auto,
 )
 from .spops import (
     transpose,
@@ -100,16 +96,12 @@ __all__ = [
     "spgemm",
     "spgemm_gustavson",
     "SpGemmStats",
-    "AUTO_COMPRESSION_THRESHOLD",
     "DEFAULT_KERNEL",
-    "DEFAULT_OVERLAP_KERNEL",
     "available_kernels",
     "get_kernel",
     "kernel_supports_batch_flops",
-    "predict_compression_factor",
     "register_kernel",
     "resolve_kernel",
-    "spgemm_auto",
     "transpose",
     "triu",
     "tril",

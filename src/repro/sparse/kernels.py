@@ -1,30 +1,27 @@
 """SpGEMM kernel registry: select a backend by name.
 
-The package ships three interchangeable SpGEMM kernels:
+The package ships these interchangeable SpGEMM kernels:
 
 ``"expand"``
     The vectorized sort–expand–reduce kernel
-    (:func:`repro.sparse.spgemm.spgemm`).  Fastest when the compression
-    factor is low — intermediate memory is proportional to the flop count,
-    so little is wasted when most partial products are distinct outputs.
+    (:func:`repro.sparse.spgemm.spgemm`) and the registry default
+    (:data:`DEFAULT_KERNEL`) for every consumer, the pipeline's ``A·Aᵀ``
+    overlap multiply included.  It sorts the operands' nonzeros by inner
+    index and never allocates anything sized by the inner dimension, which
+    for the k-mer matrix is ``|alphabet|^k`` (20^6 = 64 M at the paper's
+    k = 6) and hypersparse.  Intermediate memory is proportional to the
+    flop count.
 
 ``"gustavson"``
     The row-wise Gustavson kernel
-    (:func:`repro.sparse.gustavson.spgemm_gustavson`).  Peak intermediate
-    memory is bounded by the per-row-group flop budget instead of the total
-    flop count, so it wins when the compression factor is high (popular
-    k-mers, dense overlap structure) — the regime that otherwise caps the
-    reachable problem size.
-
-``"auto"``
-    Per-invocation dispatch (:func:`spgemm_auto`): every call — e.g. every
-    local multiply of every SUMMA stage — estimates a lower bound on the
-    compression factor from the operand sparsity patterns
-    (:func:`predict_compression_factor`) and routes to ``"gustavson"`` above
-    the dispatch threshold, ``"expand"`` below it.  The threshold defaults
-    to :data:`AUTO_COMPRESSION_THRESHOLD` and is calibratable per
-    invocation via the ``compression_threshold`` keyword (plumbed from
-    ``PastisParams.auto_compression_threshold`` by the pipeline).
+    (:func:`repro.sparse.gustavson.spgemm_gustavson`).  Forms the output in
+    row groups under a ``batch_flops`` budget, the only backend that can
+    bound its partial-product memory that way.  It converts a COO ``B``
+    operand to CSR, whose ``indptr`` has one entry per inner index: on the
+    k-mer operand that is 20^k + 1 int64s (512 MB at k = 6) per local
+    multiply, which costs more time and memory than the expand kernel's
+    whole multiply (``benchmarks/bench_kernels.py --smoke`` measures both
+    on a pipeline-shaped operand).
 
 ``"gustavson-numba"``
     The compiled scalar SPA Gustavson kernel
@@ -74,7 +71,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..trace import current_tracer, maybe_span
 from .coo import CooMatrix
 from .gustavson import spgemm_gustavson
 from .spgemm import SpGemmStats, spgemm
@@ -92,19 +88,9 @@ except ImportError:  # pragma: no cover - exercised on numba-free installs
 #: Signature shared by all SpGEMM backends.
 SpGemmKernel = Callable[..., object]
 
-#: Name of the backend used when none is requested (generic consumers).
+#: Name of the backend used when none is requested: generic consumers
+#: (``resolve_kernel(None)``) and ``PastisParams.spgemm_backend`` alike.
 DEFAULT_KERNEL = "expand"
-
-#: Default backend for the pipeline's overlap semiring (``A·Aᵀ`` candidate
-#: discovery): the head-to-head in ``benchmarks/bench_kernels.py --smoke``
-#: confirms bit-identical results with strictly lower intermediate memory at
-#: the overlap matrix's high compression factors, so the memory-safe kernel
-#: is the default there.  Seeds :data:`repro.config.DEFAULTS`.
-DEFAULT_OVERLAP_KERNEL = "gustavson"
-
-#: Predicted-compression-factor threshold above which ``"auto"`` routes to
-#: the Gustavson kernel (the head-to-head crossover regime).
-AUTO_COMPRESSION_THRESHOLD = 2.0
 
 _KERNELS: dict[str, SpGemmKernel] = {}
 
@@ -149,14 +135,6 @@ def resolve_kernel(kernel: str | SpGemmKernel | None) -> SpGemmKernel:
     return get_kernel(kernel)
 
 
-def _kernel_has_parameter(kernel: SpGemmKernel, name: str) -> bool:
-    try:
-        parameters = inspect.signature(kernel).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return name in parameters
-
-
 def kernel_supports_batch_flops(kernel: SpGemmKernel) -> bool:
     """Whether a backend accepts the ``batch_flops`` flop-budget keyword.
 
@@ -164,17 +142,11 @@ def kernel_supports_batch_flops(kernel: SpGemmKernel) -> bool:
     ``**kwargs`` would swallow the budget without honoring it, silently
     defeating the memory bound the caller asked for.
     """
-    return _kernel_has_parameter(kernel, "batch_flops")
-
-
-def kernel_supports_compression_threshold(kernel: SpGemmKernel) -> bool:
-    """Whether a backend accepts the ``compression_threshold`` keyword.
-
-    Only the dispatching ``"auto"`` kernel does; fixed backends ignore the
-    calibration knob, so callers plumbing a configured threshold probe with
-    this instead of special-casing backend names.
-    """
-    return _kernel_has_parameter(kernel, "compression_threshold")
+    try:
+        parameters = inspect.signature(kernel).parameters
+    except (TypeError, ValueError):  # pragma: no cover - exotic callables
+        return False
+    return "batch_flops" in parameters
 
 
 def kernel_supports_semiring(kernel: SpGemmKernel, semiring) -> bool:
@@ -191,93 +163,6 @@ def kernel_supports_semiring(kernel: SpGemmKernel, semiring) -> bool:
         return True
     name = "plus_times" if semiring is None else getattr(semiring, "name", None)
     return name in supported
-
-
-# ------------------------------------------------------------------ auto dispatch
-def _inner_indices(matrix, transposed: bool) -> np.ndarray:
-    """Inner-dimension index of every nonzero (A's columns / B's rows)."""
-    if hasattr(matrix, "indptr"):  # CSR: column indices; rows via indptr
-        if transposed:
-            return np.repeat(
-                np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr)
-            )
-        return matrix.indices
-    return matrix.rows if transposed else matrix.cols
-
-
-def _outer_count(matrix, transposed: bool) -> int:
-    """Number of distinct outer indices with nonzeros (A's rows / B's cols)."""
-    if hasattr(matrix, "indptr"):
-        if transposed:
-            return int(np.unique(matrix.indices).size)
-        return int(np.count_nonzero(np.diff(matrix.indptr)))
-    outer = matrix.cols if transposed else matrix.rows
-    return int(np.unique(outer).size)
-
-
-def predict_compression_factor(a, b) -> float:
-    """Cheap lower bound on ``flops / output nnz`` of ``C = A·B``.
-
-    The exact flop count is read off the sparsity patterns (each A nonzero
-    contributes the nnz of the B row its inner index selects); the output
-    nonzero count is bounded above by ``distinct A rows x distinct B cols``
-    (and by the flop count itself), so the returned ratio never exceeds the
-    true compression factor.  Runs in ``O(nnz log nnz)`` without touching
-    the (possibly hypersparse, ``|alphabet|^k``-sized) inner dimension.
-    """
-    a_inner = np.asarray(_inner_indices(a, transposed=False))
-    b_inner = np.asarray(_inner_indices(b, transposed=True))
-    if a_inner.size == 0 or b_inner.size == 0:
-        return 1.0
-    b_keys, b_counts = np.unique(b_inner, return_counts=True)
-    pos = np.searchsorted(b_keys, a_inner)
-    pos_clipped = np.minimum(pos, b_keys.size - 1)
-    matched = b_keys[pos_clipped] == a_inner
-    flops = int(b_counts[pos_clipped[matched]].sum())
-    if flops == 0:
-        return 1.0
-    output_cap = _outer_count(a, transposed=False) * _outer_count(b, transposed=True)
-    return flops / max(1, min(flops, output_cap))
-
-
-def spgemm_auto(
-    a,
-    b,
-    semiring=None,
-    return_stats: bool = False,
-    batch_flops: int | None = None,
-    compression_threshold: float | None = None,
-):
-    """Backend-dispatching SpGEMM: Gustavson at high predicted compression.
-
-    Decides per invocation — inside SUMMA that is per stage and per rank —
-    so one distributed multiply can mix backends as the local operand
-    structure varies.  CSR operands always take the Gustavson path (the only
-    CSR-capable backend), and so does an explicit ``batch_flops``: a flop
-    budget is a request for bounded intermediate memory, which the expand
-    kernel cannot honor.  ``compression_threshold`` overrides the module
-    default :data:`AUTO_COMPRESSION_THRESHOLD` so the dispatch crossover can
-    be calibrated per run (``PastisParams.auto_compression_threshold``).
-    """
-    threshold = (
-        AUTO_COMPRESSION_THRESHOLD if compression_threshold is None else compression_threshold
-    )
-    # the routing decision is one ``spgemm_dispatch`` span on the active
-    # recorder (the adaptive-dispatch trajectory: which kernel ran, and the
-    # predicted CF when one was computed)
-    tracer = current_tracer()
-    with maybe_span(tracer, "spgemm_dispatch", "spgemm", lane="discover") as span:
-        is_csr = hasattr(a, "indptr") or hasattr(b, "indptr")
-        predicted = None
-        if not is_csr and batch_flops is None:
-            predicted = predict_compression_factor(a, b)
-            span.set(predicted_cf=float(predicted))
-        use_gustavson = is_csr or batch_flops is not None or predicted >= threshold
-        span.set(kernel="gustavson" if use_gustavson else "expand")
-    if use_gustavson:
-        kwargs = {} if batch_flops is None else {"batch_flops": batch_flops}
-        return spgemm_gustavson(a, b, semiring, return_stats=return_stats, **kwargs)
-    return spgemm(a, b, semiring, return_stats=return_stats)
 
 
 # ------------------------------------------------------------------ scipy backend
@@ -321,7 +206,7 @@ def spgemm_scipy(a, b, semiring=None, return_stats: bool = False):
     if semiring is not None and getattr(semiring, "name", None) != "plus_times":
         raise ValueError(
             "the 'scipy' SpGEMM backend supports only the plain arithmetic "
-            f"semiring, got {semiring!r}; use 'expand'/'gustavson'/'auto' for "
+            f"semiring, got {semiring!r}; use 'expand' or 'gustavson' for "
             "overloaded semirings"
         )
     if a.shape[1] != b.shape[0]:
@@ -364,7 +249,6 @@ spgemm_scipy.supported_semirings = ("plus_times",)
 
 register_kernel("expand", spgemm)
 register_kernel("gustavson", spgemm_gustavson)
-register_kernel("auto", spgemm_auto)
 if _scipy_sparse is not None:
     register_kernel("scipy", spgemm_scipy)
 if spgemm_gustavson_numba is not None:

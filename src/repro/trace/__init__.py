@@ -27,9 +27,8 @@ The recorder is the run's **one instrumentation stream**.  A run with
 :meth:`repro.obs.MetricsHub.from_trace` reduces it to the run's metrics:
 ledger seconds from the cumulative ``ledger.<category>`` counters the
 ``CostLedger`` charge hook bumps, kernel seconds and compression factors
-from the per-multiply ``spgemm_kernel`` spans, ``auto``-kernel decisions
-from the ``spgemm_dispatch`` spans, phase seconds from the ``phase``
-spans.
+from the per-multiply ``spgemm_kernel`` spans, phase seconds from the
+``phase`` spans.
 
 All four schedulers run one block loop and emit through one recorder:
 Serial / Overlapped / Threaded record directly (the threaded executor's
@@ -41,7 +40,7 @@ pattern as their ``RecordingLedger`` ledger journal — and the parent
 merges them in block order with the worker's pid attribution intact.
 
 Deep sites without a :class:`~repro.core.engine.stages.StageContext`
-(the SUMMA stage loop, the ``spgemm_auto`` dispatch, Markov clustering)
+(the SUMMA stage loop, Markov clustering)
 find the recorder through the module-level active tracer
 (:func:`activate` / :func:`current_tracer`), which the pipeline installs
 for the duration of an observed run and which forked workers re-point at

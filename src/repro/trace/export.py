@@ -25,6 +25,7 @@ import json
 import os
 from pathlib import Path
 
+from ..config import atomic_write_text
 from .recorder import CounterSample, Span, TraceRecorder
 
 #: Schema version of the JSONL format (bump on incompatible change).
@@ -86,10 +87,6 @@ def jsonl_lines(recorder: TraceRecorder) -> list[str]:
 def _atomic_write(path: str | os.PathLike, text: str) -> Path:
     """Write ``text`` to ``path`` atomically: a failed overwrite (crash,
     full disk) leaves the previous trace in a reused ``trace_dir`` intact."""
-    # imported here: repro.config imports the kernel registry, which
-    # imports this package
-    from ..config import atomic_write_text
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return atomic_write_text(path, text)

@@ -3,7 +3,6 @@
 import numpy as np
 
 import repro
-from repro.config import DEFAULTS, ReproConfig
 from repro.core.align_phase import AlignmentPhase, EDGE_DTYPE
 from repro.core.costing import CostModel
 from repro.core.params import PastisParams
@@ -30,30 +29,22 @@ def test_package_exports():
 
 
 def test_defaults_match_paper_parameters():
-    assert DEFAULTS.kmer_length == 6
-    assert DEFAULTS.gap_open == 11
-    assert DEFAULTS.gap_extend == 2
-    assert DEFAULTS.common_kmer_threshold == 2
-    assert DEFAULTS.ani_threshold == 0.30
-    assert DEFAULTS.coverage_threshold == 0.70
-    # frozen dataclass: defaults cannot be mutated accidentally
-    try:
-        DEFAULTS.kmer_length = 7  # type: ignore[misc]
-        mutated = True
-    except AttributeError:
-        mutated = False
-    assert not mutated
-    assert isinstance(ReproConfig(), ReproConfig)
+    params = PastisParams()
+    assert params.kmer_length == 6
+    assert params.gap_open == 11
+    assert params.gap_extend == 2
+    assert params.common_kmer_threshold == 2
+    assert params.ani_threshold == 0.30
+    assert params.coverage_threshold == 0.70
 
 
 def test_default_spgemm_backend_is_wired_and_registered():
-    from repro.core.params import PastisParams
-    from repro.sparse import DEFAULT_OVERLAP_KERNEL, available_kernels
+    from repro.sparse import DEFAULT_KERNEL, available_kernels
 
-    assert DEFAULTS.spgemm_backend in available_kernels()
-    # one source of truth: registry overlap default -> config -> params default
-    assert DEFAULTS.spgemm_backend == DEFAULT_OVERLAP_KERNEL == "gustavson"
-    assert PastisParams().spgemm_backend == DEFAULTS.spgemm_backend
+    # one default for every consumer: the registry's, which params inherit
+    assert DEFAULT_KERNEL in available_kernels()
+    assert PastisParams().spgemm_backend == DEFAULT_KERNEL == "expand"
+    assert "auto" not in available_kernels()
 
 
 def _candidates_for(pairs, n, with_seeds):

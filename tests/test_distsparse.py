@@ -298,7 +298,7 @@ def test_gather_to_root():
 
 # ---------------------------------------------------------------- deferred merge
 @pytest.mark.parametrize("nprocs", [1, 4, 9])
-@pytest.mark.parametrize("backend", ["expand", "gustavson", "auto"])
+@pytest.mark.parametrize("backend", ["expand", "gustavson"])
 def test_deferred_merge_bit_identical_to_serial_kernel(nprocs, backend):
     """Deferred-merge SUMMA matches a serial kernel invocation bit for bit.
 

@@ -58,6 +58,23 @@ def test_checker_catches_rot(tmp_path):
     assert any("repro.also_missing" in e for e in errors)
 
 
+def test_python_sources_name_only_existing_docs():
+    errors = check_docs.check_md_mentions()
+    assert not errors, "\n".join(errors)
+
+
+def test_md_mention_check_catches_a_missing_document(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("")
+    (tmp_path / "README.md").write_text("")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        '"""See README.md, docs/guide.md and GONE.md."""\n'
+    )
+    errors = check_docs.check_md_mentions(tmp_path)
+    assert len(errors) == 1 and "mod.py:1" in errors[0] and "GONE.md" in errors[0]
+
+
 def test_readme_documents_both_workloads():
     text = (REPO_ROOT / "README.md").read_text()
     assert "all-vs-all" in text

@@ -303,17 +303,11 @@ def test_accumulator_zero_edge_block_memory_accounting():
 
 
 # ---------------------------------------------------------------- satellite plumbing
-def test_batch_flops_forces_multi_group_batching_end_to_end(
-    small_seqs, fast_params, pipeline_result
-):
+def test_batch_flops_forces_multi_group_batching_end_to_end(small_seqs, fast_params):
     """A small PastisParams.batch_flops budget reaches the Gustavson kernel."""
-    # fast_params uses the default backend, which is gustavson — the shared
-    # session run is the unconstrained baseline
-    assert fast_params.spgemm_backend == "gustavson"
-    roomy = pipeline_result
-    tight = PastisPipeline(
-        fast_params.replace(spgemm_backend="gustavson", batch_flops=64)
-    ).run(small_seqs)
+    gustavson = fast_params.replace(spgemm_backend="gustavson")
+    roomy = PastisPipeline(gustavson).run(small_seqs)
+    tight = PastisPipeline(gustavson.replace(batch_flops=64)).run(small_seqs)
     # identical results, strictly more row groups under the tight budget
     assert tight.similarity_graph == roomy.similarity_graph
     assert tight.stats.spgemm_flops == roomy.stats.spgemm_flops
@@ -331,57 +325,6 @@ def test_batch_flops_rejected_by_non_batching_backend(small_seqs, fast_params):
         ).run(small_seqs)
     with pytest.raises(ValueError, match="batch_flops"):
         PastisParams(batch_flops=0)
-
-
-def test_auto_backend_matches_fixed_backends(small_seqs, fast_params, pipeline_result):
-    """Per-stage auto selection changes nothing about results or accounting."""
-    auto = PastisPipeline(fast_params.replace(spgemm_backend="auto")).run(small_seqs)
-    assert auto.similarity_graph == pipeline_result.similarity_graph
-    assert auto.stats.spgemm_flops == pipeline_result.stats.spgemm_flops
-    assert auto.stats.candidates_discovered == pipeline_result.stats.candidates_discovered
-
-
-def test_auto_compression_threshold_plumbs_to_dispatch(small_seqs, fast_params):
-    """The params knob reaches every SUMMA stage's auto dispatch.
-
-    Forcing the threshold to the extremes pins the dispatch to one backend
-    each way; the graphs must agree (backends are bit-identical) while the
-    forced-Gustavson run shows its row-group batching in the stats.
-    """
-    base = fast_params.replace(spgemm_backend="auto", batch_flops=64)
-    all_gustavson = PastisPipeline(
-        base.replace(auto_compression_threshold=1e-9)
-    ).run(small_seqs)
-    # batch_flops forces the gustavson path regardless, so drop it for the
-    # expand-pinning run
-    all_expand = PastisPipeline(
-        base.replace(auto_compression_threshold=1e9, batch_flops=None)
-    ).run(small_seqs)
-    assert all_gustavson.similarity_graph == all_expand.similarity_graph
-    assert (
-        all_gustavson.stats.extras["spgemm_row_groups"]
-        > all_expand.stats.extras["spgemm_row_groups"]
-    )
-
-
-def test_predict_compression_factor_is_a_lower_bound():
-    from repro.sparse import CooMatrix, predict_compression_factor, spgemm
-
-    rng = np.random.default_rng(5)
-    n, k, nnz = 60, 12, 600
-    a = CooMatrix(
-        (n, k),
-        rng.integers(0, n, nnz),
-        rng.integers(0, k, nnz),
-        rng.integers(1, 9, nnz).astype(np.int64),
-    ).deduplicate()
-    _, stats = spgemm(a, a.transpose(), return_stats=True)
-    predicted = predict_compression_factor(a, a.transpose())
-    assert 1.0 <= predicted <= stats.compression_factor
-    # dense-ish overlap product: the bound is informative, not vacuous
-    assert predicted > 1.5
-    empty = CooMatrix.empty((4, 4))
-    assert predict_compression_factor(empty, empty) == 1.0
 
 
 # ---------------------------------------------------------------- threaded executor
@@ -656,6 +599,30 @@ def test_process_worker_exception_propagates(small_seqs, fast_params, monkeypatc
     import glob
 
     assert glob.glob("/dev/shm/repro-psched-*") == []
+
+
+def test_sweep_unlinks_zero_byte_segment_without_raising():
+    """A worker stopped between ``shm_open`` and ``ftruncate`` leaves an
+    empty segment; mapping it raises ``ValueError``, which used to replace
+    the run's own error at teardown and strand the segment."""
+    import os
+
+    _posixshmem = pytest.importorskip("_posixshmem")
+    from repro.core.engine.process_executor import _segment_name, _sweep_segments
+
+    token = f"{os.getpid():x}-sweeptest"
+    name = _segment_name(token, 1)
+    fd = _posixshmem.shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR, mode=0o600)
+    os.close(fd)
+    try:
+        _sweep_segments(token, 3)
+        with pytest.raises(FileNotFoundError):
+            _posixshmem.shm_unlink("/" + name)
+    finally:
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:
+            pass
 
 
 def test_pipeline_scheduler_selection(small_seqs, fast_params):

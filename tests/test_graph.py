@@ -32,7 +32,7 @@ from repro.sparse.kernels import available_kernels
 
 #: Backends exercised by the cross-backend bit-identity tests ("scipy"
 #: participates exactly when it is registered, i.e. when scipy importable).
-MCL_BACKENDS = [k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()]
+MCL_BACKENDS = [k for k in ("expand", "gustavson", "scipy") if k in available_kernels()]
 
 
 def make_edges(pairs, ani=0.8, coverage=0.9, score=50):
@@ -367,7 +367,7 @@ def test_cluster_params_batch_flops_resolves_to_batching_backend():
     if "scipy" in available_kernels():
         with pytest.raises(ValueError, match="batch_flops"):
             ClusterParams(spgemm_backend="scipy", batch_flops=4096)
-    ClusterParams(spgemm_backend="auto", batch_flops=4096)  # batching backends fine
+    ClusterParams(spgemm_backend="gustavson", batch_flops=4096)  # batching backends fine
 
 
 def test_cluster_similarity_graph_components_method():

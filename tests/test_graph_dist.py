@@ -42,7 +42,7 @@ from repro.sequences.synthetic import synthetic_dataset
 from repro.sparse.kernels import available_kernels
 
 #: Every registered backend participates ("scipy" exactly when importable).
-MCL_BACKENDS = [k for k in ("expand", "gustavson", "auto", "scipy") if k in available_kernels()]
+MCL_BACKENDS = [k for k in ("expand", "gustavson", "scipy") if k in available_kernels()]
 GRID_SIZES = [1, 4, 9]
 
 

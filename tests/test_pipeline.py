@@ -174,3 +174,24 @@ def test_reduced_alphabet_seeding_finds_at_least_as_many_candidates(small_seqs, 
     ).run(small_seqs)
     # reduced-alphabet k-mers collide more often, so candidate discovery is broader
     assert murphy.stats.candidates_discovered >= pipeline_result.stats.candidates_discovered
+
+
+def test_default_kernel_allocates_nothing_sized_by_the_kmer_space():
+    """At the paper's k = 6 the A·Aᵀ inner dimension is 20^6 = 64 M k-mers.
+    A pointer array over it is 512 MB; the default kernel must stay far
+    below that however few sequences there are."""
+    import tracemalloc
+
+    from repro.sequences.synthetic import synthetic_dataset
+
+    params = PastisParams()
+    assert params.kmer_length == 6
+    seqs = synthetic_dataset(n_sequences=2, seed=7)
+    tracemalloc.start()
+    try:
+        result = PastisPipeline(params).run(seqs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.stats.candidates_discovered > 0
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"

@@ -297,48 +297,6 @@ def test_scipy_backend_excluded_from_pipeline_params():
         PastisParams(spgemm_backend="scipy")
 
 
-# ------------------------------------------------------------------ auto threshold
-def test_auto_compression_threshold_steers_dispatch():
-    """threshold -> 0 forces Gustavson, threshold -> inf forces expand."""
-    from repro.sparse.kernels import (
-        kernel_supports_compression_threshold,
-        spgemm_auto,
-    )
-
-    rng = np.random.default_rng(21)
-    a = CooMatrix(
-        (150, 20), rng.integers(0, 150, 3000), rng.integers(0, 20, 3000),
-        rng.random(3000),
-    ).deduplicate()
-    # big enough that the Gustavson default flop budget forces >1 row group,
-    # making the chosen backend observable through SpGemmStats
-    _, low = spgemm_auto(
-        a, a.transpose(), ArithmeticSemiring(), return_stats=True, compression_threshold=0.0
-    )
-    _, high = spgemm_auto(
-        a, a.transpose(), ArithmeticSemiring(), return_stats=True,
-        compression_threshold=float("inf"),
-    )
-    assert low.row_groups > 1  # Gustavson path, batched
-    assert high.row_groups == 1  # expand path, single pass
-    assert low.intermediate_bytes < high.intermediate_bytes
-    assert low.flops == high.flops
-    assert kernel_supports_compression_threshold(spgemm_auto)
-    assert not kernel_supports_compression_threshold(spgemm)
-    assert not kernel_supports_compression_threshold(spgemm_gustavson)
-
-
-def test_auto_compression_threshold_plumbs_through_params():
-    from repro.core.params import PastisParams
-    from repro.sparse.kernels import AUTO_COMPRESSION_THRESHOLD
-
-    assert PastisParams().auto_compression_threshold == AUTO_COMPRESSION_THRESHOLD
-    params = PastisParams(auto_compression_threshold=7.5)
-    assert params.auto_compression_threshold == 7.5
-    with pytest.raises(ValueError, match="auto_compression_threshold"):
-        PastisParams(auto_compression_threshold=0.0)
-
-
 # ------------------------------------------------------------------ numba backend
 def _has_numba():
     return "gustavson-numba" in available_kernels()

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Documentation reference checker — keeps README/docs honest.
 
-Three classes of rot this catches, run over ``README.md`` and ``docs/``:
+Four classes of rot this catches, the first three run over ``README.md``
+and ``docs/``:
 
 * **relative links**: every ``[text](path)`` markdown link that isn't an
   absolute URL must resolve to a file or directory in the repository;
@@ -10,7 +11,10 @@ Three classes of rot this catches, run over ``README.md`` and ``docs/``:
   importable module prefix (so ``repro.serve.QueryBatcher`` and
   ``repro.io.report.run_report`` both count);
 * **module commands**: every ``python -m repro.x`` command must name an
-  importable module.
+  importable module;
+* **documentation files named in code**: every ``NAME.md`` mentioned in a
+  ``.py`` file under ``src/``, ``benchmarks/`` or ``examples/`` must exist
+  at the repository root or under ``docs/``.
 
 Used by CI (``python tools/check_docs.py``) and by ``tests/test_docs.py``.
 Exits non-zero listing every broken reference.
@@ -31,6 +35,10 @@ DOC_FILES = ("README.md", "docs/architecture.md", "docs/serving.md")
 _LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _DOTTED_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 _MODULE_CMD_RE = re.compile(r"python -m (repro(?:\.\w+)*)")
+_MD_NAME_RE = re.compile(r"\b([\w-]+\.md)\b")
+
+#: Python trees whose comments and docstrings may point at documentation
+SOURCE_DIRS = ("src", "benchmarks", "examples")
 
 
 def _display(path: Path) -> str:
@@ -90,6 +98,21 @@ def check_file(path: Path) -> list[str]:
     return check_links(path) + check_dotted_refs(path)
 
 
+def check_md_mentions(root: Path = REPO_ROOT) -> list[str]:
+    """``NAME.md`` files named in Python sources under ``root`` that exist
+    neither at ``root`` nor under ``root/docs``."""
+    errors = []
+    for directory in SOURCE_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                for name in _MD_NAME_RE.findall(line):
+                    if not ((root / name).exists() or (root / "docs" / name).exists()):
+                        errors.append(
+                            f"{_display(path)}:{lineno}: names a missing document -> {name}"
+                        )
+    return errors
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     errors: list[str] = []
@@ -99,11 +122,15 @@ def main() -> int:
             errors.append(f"missing documentation file: {name}")
             continue
         errors.extend(check_file(path))
+    errors.extend(check_md_mentions())
     if errors:
         print("\n".join(errors))
         print(f"\n{len(errors)} broken documentation reference(s)")
         return 1
-    print(f"docs OK: {len(DOC_FILES)} files, all links and repro.* references resolve")
+    print(
+        f"docs OK: {len(DOC_FILES)} files, all links and repro.* references "
+        "resolve, every .md named in code exists"
+    )
     return 0
 
 
